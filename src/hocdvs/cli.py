@@ -24,6 +24,7 @@ from .errors import (
     TruncatedPayloadError,
     UnknownPresetError,
     WindowExceedsTracesError,
+    WindowTooSmallError,
 )
 from .synth import config_digest, load_sim_config, synth_traces
 
@@ -42,6 +43,7 @@ _CONFIG_ERRORS = (
     BadConfigError,
     UnknownPresetError,
     WindowExceedsTracesError,
+    WindowTooSmallError,
     TooFewTracesError,
     BadAverageLengthError,
     BadGuardError,
@@ -115,17 +117,17 @@ def cmd_analyze(
     min_snr_db: float | None = None,
 ) -> int:
     method = _METHOD_ALIASES[method_alias]
-    traces = io_formats.read_traces(trace_path)
-    profile, report = experiments.analyze_traces(
-        traces, method, window, avg_len=avg_len, guard=guard
-    )
-
-    digest_src = hashlib.sha256()
-    digest_src.update(Path(trace_path).read_bytes())
+    blob = io_formats.read_trace_bytes(trace_path)
+    digest_src = hashlib.sha256(blob)
     digest_src.update(
         f"|method={method}|window={window}|guard={guard}|avg_len={avg_len}".encode()
     )
     digest = digest_src.hexdigest()
+    traces = io_formats.parse_traces(blob, trace_path)
+    del blob  # the parsed matrix replaces the raw bytes before detection
+    profile, report = experiments.analyze_traces(
+        traces, method, window, avg_len=avg_len, guard=guard
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

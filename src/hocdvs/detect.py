@@ -24,8 +24,10 @@ from .errors import (
     NotDetrendedError,
     TooFewTracesError,
     WindowExceedsTracesError,
+    WindowTooSmallError,
     ZeroBackgroundError,
 )
+from .stats import mean_cube_axis0
 from .synth import TraceMatrix
 
 METHOD_HOC = "hoc"
@@ -52,8 +54,8 @@ class HocProfile:
             raise ValueError(f"values must be a non-empty vector, got shape {arr.shape}")
         if self.window < 2:
             raise ValueError(f"window must be >= 2 traces, got {self.window}")
-        if self.meters_per_point <= 0:
-            raise ValueError("meters_per_point must be > 0")
+        if not (math.isfinite(self.meters_per_point) and self.meters_per_point > 0):
+            raise ValueError("meters_per_point must be finite and > 0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         arr = arr.copy()
@@ -89,6 +91,7 @@ def detrend(traces: TraceMatrix) -> TraceMatrix:
     if traces.num_traces < 2:
         raise TooFewTracesError("detrending needs at least two traces")
     residuals = traces.amplitudes - traces.amplitudes.mean(axis=0, keepdims=True)
+    residuals.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=residuals,
         meters_per_point=traces.meters_per_point,
@@ -98,6 +101,8 @@ def detrend(traces: TraceMatrix) -> TraceMatrix:
 
 
 def _check_window(traces: TraceMatrix, window: int) -> None:
+    if window < 2:
+        raise WindowTooSmallError(f"window must be >= 2 traces, got {window}")
     if window > traces.num_traces:
         raise WindowExceedsTracesError(
             f"window {window} exceeds {traces.num_traces} traces"
@@ -112,10 +117,11 @@ def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
     """
     _check_window(traces, window)
     amps = traces.amplitudes
-    scale = max(1.0, float(np.max(np.abs(amps))))
+    # max|amps| from max and min, so no second full-size array is made
+    scale = max(1.0, float(amps.max()), -float(amps.min()))
     if float(np.max(np.abs(amps.mean(axis=0)))) > DETREND_TOL * scale:
         raise NotDetrendedError("per-point means are not zero; run detrend first")
-    values = np.mean(amps[:window] ** 3, axis=0)
+    values = mean_cube_axis0(amps[:window])
     return HocProfile(values, window, traces.meters_per_point, METHOD_HOC)
 
 

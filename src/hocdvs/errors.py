@@ -67,6 +67,10 @@ class WindowExceedsTracesError(HocdvsError):
     """The requested window is larger than the number of traces."""
 
 
+class WindowTooSmallError(HocdvsError):
+    """The requested window holds fewer than two traces."""
+
+
 class BadAverageLengthError(HocdvsError):
     """Block-average length does not leave at least two blocks to difference."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import detect, io_formats
 from .errors import DegenerateNoiseReferenceError, NoEdgeError, UnknownPresetError
-from .stats import Sequence, center, power, snr2_db
+from .stats import Sequence, center, mean_cube, power, snr2_db
 from .synth import (
     AsymmetrySpec,
     SimConfig,
@@ -83,16 +83,6 @@ _MAX_REFERENCE_RETRIES = 64
 def derive_seed(*parts: int) -> int:
     """Stable child seed from integer coordinates."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
-def mean_cube(x: Sequence) -> float:
-    """Third moment about zero, without re-centering.
-
-    The asymmetry references are built on a support that is symmetric
-    about zero, so the raw mean shift produced by mirroring an interval
-    is part of the asymmetry being measured, not an offset to remove.
-    """
-    return float(np.mean(x.samples**3))
 
 
 def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:

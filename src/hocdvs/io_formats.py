@@ -62,21 +62,22 @@ def write_traces(path, traces: TraceMatrix) -> None:
         raise IoError(f"cannot write traces to {path}: {exc}") from exc
 
 
-def read_traces(path) -> TraceMatrix:
-    """Read a trace matrix written by write_traces."""
+def read_trace_bytes(path) -> bytes:
+    """The raw bytes of a trace file, for parse_traces."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read traces from {path}: {exc}") from exc
 
+
+def parse_traces(blob: bytes, source) -> TraceMatrix:
+    """Decode the bytes of a trace file; source names it in error messages."""
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise NotATraceFileError(f"{path} does not start with the trace-file magic")
+        raise NotATraceFileError(f"{source} does not start with the trace-file magic")
     if len(blob) < HEADER_SIZE:
-        raise TruncatedPayloadError(f"{path} ends inside the header")
-    _, version, num_traces, fiber_points, mpp, rate, prov_code = _HEADER.unpack(
-        blob[:HEADER_SIZE]
-    )
+        raise TruncatedPayloadError(f"{source} ends inside the header")
+    _, version, num_traces, fiber_points, mpp, rate, prov_code = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise CorruptHeaderError(f"unsupported version {version}")
     if num_traces < 1 or fiber_points < 1:
@@ -87,20 +88,21 @@ def read_traces(path) -> TraceMatrix:
         raise CorruptHeaderError(f"unknown provenance code {prov_code}")
 
     expected = num_traces * fiber_points * 4
-    payload = blob[HEADER_SIZE:]
-    if len(payload) < expected:
+    payload_size = len(blob) - HEADER_SIZE
+    if payload_size < expected:
         raise TruncatedPayloadError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
+            f"{source}: payload is {payload_size} bytes, header promises {expected}"
         )
-    if len(payload) > expected:
+    if payload_size > expected:
         raise CorruptHeaderError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
+            f"{source}: payload is {payload_size} bytes, header promises {expected}"
         )
     amplitudes = (
-        np.frombuffer(payload, dtype="<f4")
+        np.frombuffer(blob, dtype="<f4", offset=HEADER_SIZE)
         .reshape(num_traces, fiber_points)
         .astype(float)
     )
+    amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     try:
         return TraceMatrix(
             amplitudes=amplitudes,
@@ -109,7 +111,12 @@ def read_traces(path) -> TraceMatrix:
             provenance=_PROVENANCE_NAMES[prov_code],
         )
     except ValueError as exc:
-        raise CorruptHeaderError(f"{path}: {exc}") from exc
+        raise CorruptHeaderError(f"{source}: {exc}") from exc
+
+
+def read_traces(path) -> TraceMatrix:
+    """Read a trace matrix written by write_traces."""
+    return parse_traces(read_trace_bytes(path), path)
 
 
 def export_profile_csv(profile: HocProfile, path) -> None:

@@ -24,6 +24,7 @@ config, including its seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -45,6 +46,10 @@ TRUNCATION_LIMIT = 3.46
 PROVENANCE_SYNTHETIC = "synthetic"
 PROVENANCE_RECORDED = "recorded"
 _PROVENANCES = (PROVENANCE_SYNTHETIC, PROVENANCE_RECORDED)
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,8 @@ class SimConfig:
             (self.fiber_points >= 1, "fiber_points must be >= 1"),
             (self.num_traces >= 1, "num_traces must be >= 1"),
             (self.pulse_width_points >= 1, "pulse_width_points must be >= 1"),
-            (self.meters_per_point > 0, "meters_per_point must be > 0"),
-            (self.trace_rate_hz > 0, "trace_rate_hz must be > 0"),
+            (_finite_positive(self.meters_per_point), "meters_per_point must be finite and > 0"),
+            (_finite_positive(self.trace_rate_hz), "trace_rate_hz must be finite and > 0"),
             (
                 0 <= self.vibration_point < self.fiber_points,
                 "vibration_point must lie on the fiber",
@@ -129,7 +134,14 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class TraceMatrix:
-    """W traces by M fiber points of backscattering amplitudes."""
+    """W traces by M fiber points of backscattering amplitudes.
+
+    The stored matrix is read-only and private to the instance. A caller's
+    writable array, or a view of any array, is copied. An array that owns
+    its data and is already read-only is taken over as it is: that is how
+    read_traces, detrend and synth_traces hand over the matrices they
+    have just made without paying for a second copy.
+    """
 
     amplitudes: np.ndarray
     meters_per_point: float
@@ -142,11 +154,15 @@ class TraceMatrix:
             raise ValueError(f"amplitudes must be a W x M matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
-        if self.meters_per_point <= 0 or self.trace_rate_hz <= 0:
-            raise ValueError("meters_per_point and trace_rate_hz must be > 0")
+        if not (_finite_positive(self.meters_per_point) and _finite_positive(self.trace_rate_hz)):
+            raise ValueError("meters_per_point and trace_rate_hz must be finite and > 0")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        arr = arr.copy()
+        # Keep arr uncopied only if it owns its data and no caller can write
+        # to it: asarray has just made it, or it arrived read-only.
+        private = arr.flags.owndata and (arr is not self.amplitudes or not arr.flags.writeable)
+        if not private:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -234,6 +250,7 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
     sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
     noise = rng.normal(0.0, cfg.noise_sigma, size=(w, m))
     amplitudes = sop[:, None] * clean + noise
+    amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=amplitudes,
         meters_per_point=cfg.meters_per_point,
@@ -275,9 +292,12 @@ def _parse_literal(key: str, literal: str):
     if "." not in literal:
         raise BadConfigError(f"key '{key}' needs a real with a decimal point, got {literal!r}")
     try:
-        return float(literal)
+        value = float(literal)
     except ValueError:
         raise BadConfigError(f"key '{key}' has unparseable value {literal!r}") from None
+    if not math.isfinite(value):
+        raise BadConfigError(f"key '{key}' needs a finite value, got {literal!r}")
+    return value
 
 
 def parse_sim_config(text: str) -> SimConfig:

@@ -166,7 +166,8 @@ def test_c04_output_snr_monotone_in_length():
     monotonicity (Spearman > 0.9 over five lengths requires rho = 1) is
     violated in expectation, not merely by seed noise. Duty cycles 10-30%
     satisfy it with wide margins; see the companion test for the
-    resolvable part of the 40% trend and notes/decisions.md for analysis.
+    resolvable part of the 40% trend and the noise-floor paragraph of the
+    README's "Install and test" section for analysis.
     """
     means_by_duty = _snr2_means()
     details = []

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -114,6 +116,34 @@ class TestAnalyze:
         code = main(["analyze", "--traces", str(trace_file), "--method", "hoc",
                      "--window", "500", "--out", str(tmp_path / "w")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("method", ["hoc", "mdiff", "mavg"])
+    @pytest.mark.parametrize("window", ["1", "0", "-5"])
+    def test_window_below_two_is_config_error(self, tmp_path, trace_file, capsys, method, window):
+        code = main(["analyze", "--traces", str(trace_file), "--method", method,
+                     "--window", window, "--avg-len", "1", "--out", str(tmp_path / "w")])
+        assert code == EXIT_CONFIG
+        assert "window must be >= 2" in capsys.readouterr().err
+
+    def test_nan_meters_per_point_is_io_error(self, tmp_path, trace_file):
+        blob = bytearray(trace_file.read_bytes())
+        struct.pack_into("<d", blob, 20, float("nan"))
+        trace_file.write_bytes(bytes(blob))
+        out_dir = tmp_path / "nan"
+        code = main(["analyze", "--traces", str(trace_file), "--method", "hoc",
+                     "--window", "100", "--out", str(out_dir)])
+        assert code == EXIT_IO
+        assert not out_dir.exists()
+
+    def test_report_digest_hashes_file_bytes_and_settings(self, tmp_path, trace_file):
+        out_dir = tmp_path / "dig"
+        assert main(["analyze", "--traces", str(trace_file), "--method", "hoc",
+                     "--window", "100", "--out", str(out_dir)]) == EXIT_OK
+        expected = hashlib.sha256(
+            trace_file.read_bytes() + b"|method=hoc|window=100|guard=30|avg_len=5"
+        ).hexdigest()
+        report = json.loads((out_dir / "report_hoc.json").read_text())
+        assert report["config_digest"] == expected
 
     def test_bad_trace_file_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.hocdvs"

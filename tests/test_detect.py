@@ -26,6 +26,7 @@ from hocdvs.errors import (
     NotDetrendedError,
     TooFewTracesError,
     WindowExceedsTracesError,
+    WindowTooSmallError,
     ZeroBackgroundError,
 )
 from hocdvs.experiments import TRACE_WINDOW, analyze_traces, trace_config
@@ -94,8 +95,36 @@ class TestHocProfile:
             hoc_profile(matrix(np.zeros((5, 3))), window=6)
 
     def test_window_below_two_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WindowTooSmallError):
             hoc_profile(matrix(np.zeros((5, 3))), window=1)
+
+    @pytest.mark.parametrize("window", [1, 0, -5])
+    @pytest.mark.parametrize(
+        "make_profile",
+        [
+            hoc_profile,
+            moving_differential_profile,
+            lambda traces, window: moving_average_profile(traces, window, 1),
+        ],
+        ids=["hoc", "mdiff", "mavg"],
+    )
+    def test_every_method_rejects_window_below_two(self, make_profile, window):
+        with pytest.raises(WindowTooSmallError):
+            make_profile(matrix(np.zeros((5, 3))), window)
+
+    @pytest.mark.parametrize("window", [40, 25])
+    def test_matches_pow_reference(self, window):
+        # skewed residuals about each point's mean over all 40 traces
+        rng = np.random.default_rng(21)
+        traces = detrend(matrix(rng.gamma(2.0, size=(40, 300))))
+        ref = np.mean(traces.amplitudes[:window].astype(np.float64) ** 3, axis=0)
+        got = hoc_profile(traces, window).values
+        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("mpp", [float("nan"), float("inf"), 0.0])
+    def test_profile_rejects_bad_meters_per_point(self, mpp):
+        with pytest.raises(ValueError):
+            profile([1.0, 2.0], mpp=mpp)
 
     def test_vibration_peak_lands_on_event(self):
         cfg = trace_config(0.2, seed=3)

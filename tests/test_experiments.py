@@ -11,12 +11,11 @@ from hocdvs.experiments import (
     asymmetry_sweep,
     derive_seed,
     localization_sweep,
-    mean_cube,
     run_preset,
     snr2_sample,
     trace_config,
 )
-from hocdvs.stats import Sequence
+from hocdvs.stats import Sequence, mean_cube
 from hocdvs.synth import config_digest
 
 

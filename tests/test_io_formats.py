@@ -108,6 +108,17 @@ class TestTraceFile:
         with pytest.raises(CorruptHeaderError):
             read_traces(path)
 
+    @pytest.mark.parametrize("offset", [20, 28], ids=["meters_per_point", "trace_rate_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_header_metadata(self, tmp_path, offset, value):
+        path = tmp_path / "t.hocdvs"
+        write_traces(path, small_matrix([[1, 2, 3], [4, 5, 6]]))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptHeaderError):
+            read_traces(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_traces(tmp_path / "absent.hocdvs")

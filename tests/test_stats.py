@@ -29,6 +29,7 @@ from hocdvs.errors import (
     PowerMismatchError,
     ZeroSignalError,
 )
+from hocdvs.stats import mean_cube
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -154,6 +155,14 @@ class TestThirdCumulantZeroLag:
     def test_requires_centered(self):
         with pytest.raises(NotCenteredError):
             third_cumulant_zero_lag(seq([1.0, 2.0]))
+
+    def test_product_form_matches_pow(self):
+        x = np.random.default_rng(8).gamma(2.0, size=10**5)
+        c = x - x.mean()
+        assert third_cumulant_zero_lag(seq(c, centered=True)) == pytest.approx(
+            float(np.mean(c**3)), rel=1e-12
+        )
+        assert mean_cube(seq(x)) == pytest.approx(float(np.mean(x**3)), rel=1e-12)
 
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=50))
     def test_odd_symmetry_null(self, values):

@@ -10,6 +10,7 @@ from hocdvs import (
     asymmetrize,
     center,
     config_digest,
+    detrend,
     format_sim_config,
     gen_square_wave,
     gen_truncated_gaussian,
@@ -17,8 +18,10 @@ from hocdvs import (
     mix_at_snr1,
     parse_sim_config,
     power,
+    read_traces,
     synth_traces,
     third_cumulant_zero_lag,
+    write_traces,
 )
 from hocdvs.errors import (
     BadConfigError,
@@ -243,6 +246,13 @@ class TestConfigFiles:
         with pytest.raises(BadConfigError):
             parse_sim_config(text)
 
+    def test_real_literal_must_be_finite(self):
+        text = format_sim_config(trace_config(0.1, seed=1)).replace(
+            "meters_per_point = 1.0", "meters_per_point = 1.0e999"
+        )
+        with pytest.raises(BadConfigError, match="finite"):
+            parse_sim_config(text)
+
     def test_digest_stable_and_sensitive(self):
         a = config_digest(trace_config(0.2, seed=5))
         b = config_digest(trace_config(0.2, seed=5))
@@ -260,3 +270,39 @@ class TestTraceMatrixInvariants:
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError):
             TraceMatrix(np.ones(5), 1.0, 1000.0)
+
+    @pytest.mark.parametrize(
+        "mpp, rate", [(float("nan"), 1000.0), (float("inf"), 1000.0), (1.0, float("nan")),
+                      (1.0, float("inf")), (0.0, 1000.0), (1.0, -1.0)]
+    )
+    def test_rejects_bad_metadata(self, mpp, rate):
+        with pytest.raises(ValueError):
+            TraceMatrix(np.ones((2, 3)), mpp, rate)
+
+    def test_caller_array_is_copied(self):
+        caller = np.ones((2, 3))
+        traces = TraceMatrix(caller, 1.0, 1000.0)
+        caller[0, 0] = 99.0
+        assert traces.amplitudes[0, 0] == 1.0
+        assert not traces.amplitudes.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        base = np.ones((4, 3))
+        view = base[1:]
+        view.setflags(write=False)
+        traces = TraceMatrix(view, 1.0, 1000.0)
+        base[1, 0] = 99.0
+        assert traces.amplitudes[0, 0] == 1.0
+
+    def test_fresh_read_only_array_is_taken_over(self):
+        fresh = np.ones((2, 3))
+        fresh.setflags(write=False)
+        assert TraceMatrix(fresh, 1.0, 1000.0).amplitudes is fresh
+
+    def test_produced_matrices_are_read_only(self, tmp_path):
+        traces = synth_traces(trace_config(0.2, seed=4, fiber_points=60, vibration_point=30))
+        path = tmp_path / "t.hocdvs"
+        write_traces(path, traces)
+        for produced in (traces, detrend(traces), read_traces(path)):
+            assert not produced.amplitudes.flags.writeable
+            assert produced.amplitudes.flags.owndata
