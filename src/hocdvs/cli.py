@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config/usage error, 3 no detection, 4 I/O error.
+Exit codes: 0 success, 2 config/usage error, 3 no detection (no peak, or
+a background that is exactly zero), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     UnknownPresetError,
     WindowExceedsTracesError,
     WindowTooSmallError,
+    ZeroBackgroundError,
 )
 from .synth import config_digest, load_sim_config, synth_traces
 
@@ -117,14 +119,12 @@ def cmd_analyze(
     min_snr_db: float | None = None,
 ) -> int:
     method = _METHOD_ALIASES[method_alias]
-    blob = io_formats.read_trace_bytes(trace_path)
-    digest_src = hashlib.sha256(blob)
+    digest_src = hashlib.sha256()
+    traces = io_formats.read_traces(trace_path, digest=digest_src)
     digest_src.update(
         f"|method={method}|window={window}|guard={guard}|avg_len={avg_len}".encode()
     )
     digest = digest_src.hexdigest()
-    traces = io_formats.parse_traces(blob, trace_path)
-    del blob  # the parsed matrix replaces the raw bytes before detection
     profile, report = experiments.analyze_traces(
         traces, method, window, avg_len=avg_len, guard=guard
     )
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
             )
         seeds = _parse_seed_range(args.seeds) if args.seeds else None
         return cmd_experiment(args.preset, args.out, seeds=seeds)
-    except NoPeakError as exc:
+    except (NoPeakError, ZeroBackgroundError) as exc:
         print(f"no detection: {exc}", file=sys.stderr)
         return EXIT_NO_DETECTION
     except _CONFIG_ERRORS as exc:

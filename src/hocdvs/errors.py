@@ -75,10 +75,6 @@ class BadAverageLengthError(HocdvsError):
     """Block-average length does not leave at least two blocks to difference."""
 
 
-class NotDetrendedError(HocdvsError):
-    """Per-point means are not zero; run detrend first."""
-
-
 class NoPeakError(HocdvsError):
     """The profile contains no usable peak (all zero or non-finite)."""
 

@@ -176,7 +176,7 @@ def analyze_traces(
 ) -> tuple[detect.HocProfile, detect.DetectionReport]:
     """Run one method end to end: profile, peak, location SNR, resolution."""
     if method == detect.METHOD_HOC:
-        profile = detect.hoc_profile(detect.detrend(traces), window)
+        profile = detect.hoc_profile(traces, window)
     elif method == detect.METHOD_MOVING_DIFFERENTIAL:
         profile = detect.moving_differential_profile(traces, window)
     elif method == detect.METHOD_MOVING_AVERAGE:

@@ -20,6 +20,7 @@ float64.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -40,6 +41,8 @@ HEADER_SIZE = _HEADER.size
 
 _PROVENANCE_CODES = {PROVENANCE_SYNTHETIC: 0, PROVENANCE_RECORDED: 1}
 _PROVENANCE_NAMES = {code: name for name, code in _PROVENANCE_CODES.items()}
+# Bytes per readinto call; Linux returns at most ~2 GiB from one read.
+_READ_CHUNK = 1 << 30
 
 
 def write_traces(path, traces: TraceMatrix) -> None:
@@ -62,46 +65,33 @@ def write_traces(path, traces: TraceMatrix) -> None:
         raise IoError(f"cannot write traces to {path}: {exc}") from exc
 
 
-def read_trace_bytes(path) -> bytes:
-    """The raw bytes of a trace file, for parse_traces."""
+def read_traces(path, digest=None) -> TraceMatrix:
+    """Read a trace matrix written by write_traces, keeping its float32 payload.
+
+    The header is checked against the file size before the payload is
+    allocated, and the payload is read straight into the matrix. A
+    hashlib object passed as digest is fed every byte of the file.
+    """
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            header = fh.read(HEADER_SIZE)
+            shape, mpp, rate, prov_code = _parse_header(header, path)
+            expected = shape[0] * shape[1] * 4
+            _check_payload_size(os.fstat(fh.fileno()).st_size - HEADER_SIZE, expected, path)
+            amplitudes = np.empty(shape, dtype="<f4")
+            payload = memoryview(amplitudes).cast("B")
+            done = 0
+            while done < expected:
+                got = fh.readinto(payload[done : done + _READ_CHUNK])
+                if not got:
+                    break
+                done += got
+            _check_payload_size(done + len(fh.read(1)), expected, path)
     except OSError as exc:
         raise IoError(f"cannot read traces from {path}: {exc}") from exc
-
-
-def parse_traces(blob: bytes, source) -> TraceMatrix:
-    """Decode the bytes of a trace file; source names it in error messages."""
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise NotATraceFileError(f"{source} does not start with the trace-file magic")
-    if len(blob) < HEADER_SIZE:
-        raise TruncatedPayloadError(f"{source} ends inside the header")
-    _, version, num_traces, fiber_points, mpp, rate, prov_code = _HEADER.unpack_from(blob)
-    if version != VERSION:
-        raise CorruptHeaderError(f"unsupported version {version}")
-    if num_traces < 1 or fiber_points < 1:
-        raise CorruptHeaderError(
-            f"bad dimensions {num_traces} x {fiber_points} in header"
-        )
-    if prov_code not in _PROVENANCE_NAMES:
-        raise CorruptHeaderError(f"unknown provenance code {prov_code}")
-
-    expected = num_traces * fiber_points * 4
-    payload_size = len(blob) - HEADER_SIZE
-    if payload_size < expected:
-        raise TruncatedPayloadError(
-            f"{source}: payload is {payload_size} bytes, header promises {expected}"
-        )
-    if payload_size > expected:
-        raise CorruptHeaderError(
-            f"{source}: payload is {payload_size} bytes, header promises {expected}"
-        )
-    amplitudes = (
-        np.frombuffer(blob, dtype="<f4", offset=HEADER_SIZE)
-        .reshape(num_traces, fiber_points)
-        .astype(float)
-    )
+    if digest is not None:
+        digest.update(header)
+        digest.update(payload)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     try:
         return TraceMatrix(
@@ -111,23 +101,48 @@ def parse_traces(blob: bytes, source) -> TraceMatrix:
             provenance=_PROVENANCE_NAMES[prov_code],
         )
     except ValueError as exc:
-        raise CorruptHeaderError(f"{source}: {exc}") from exc
+        raise CorruptHeaderError(f"{path}: {exc}") from exc
 
 
-def read_traces(path) -> TraceMatrix:
-    """Read a trace matrix written by write_traces."""
-    return parse_traces(read_trace_bytes(path), path)
+def _parse_header(header: bytes, source):
+    if len(header) < len(MAGIC) or header[: len(MAGIC)] != MAGIC:
+        raise NotATraceFileError(f"{source} does not start with the trace-file magic")
+    if len(header) < HEADER_SIZE:
+        raise TruncatedPayloadError(f"{source} ends inside the header")
+    _, version, num_traces, fiber_points, mpp, rate, prov_code = _HEADER.unpack(header)
+    if version != VERSION:
+        raise CorruptHeaderError(f"unsupported version {version}")
+    if num_traces < 1 or fiber_points < 1:
+        raise CorruptHeaderError(
+            f"bad dimensions {num_traces} x {fiber_points} in header"
+        )
+    if prov_code not in _PROVENANCE_NAMES:
+        raise CorruptHeaderError(f"unknown provenance code {prov_code}")
+    return (num_traces, fiber_points), mpp, rate, prov_code
+
+
+def _check_payload_size(payload_size: int, expected: int, source) -> None:
+    if payload_size < expected:
+        raise TruncatedPayloadError(
+            f"{source}: payload is {payload_size} bytes, header promises {expected}"
+        )
+    if payload_size > expected:
+        raise CorruptHeaderError(
+            f"{source}: payload is {payload_size} bytes, header promises {expected}"
+        )
 
 
 def export_profile_csv(profile: HocProfile, path) -> None:
     """Write `position_m,value` rows, one per fiber point, 12 significant digits."""
-    lines = ["position_m,value"]
+    values = profile.values.tolist()
     mpp = profile.meters_per_point
-    for idx, value in enumerate(profile.values):
-        lines.append(f"{idx * mpp:.12g},{value:.12g}")
+    cells = [0.0] * (2 * len(values))
+    cells[0::2] = [idx * mpp for idx in range(len(values))]
+    cells[1::2] = values
+    text = "position_m,value\n" + "%.12g,%.12g\n" * len(values) % tuple(cells)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write profile to {path}: {exc}") from exc
 

@@ -132,13 +132,18 @@ class SimConfig:
                 raise BadConfigError(message)
 
 
+_AMPLITUDE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 @dataclass(frozen=True, eq=False)
 class TraceMatrix:
     """W traces by M fiber points of backscattering amplitudes.
 
-    The stored matrix is read-only and private to the instance. A caller's
-    writable array, or a view of any array, is copied. An array that owns
-    its data and is already read-only is taken over as it is: that is how
+    The stored matrix is read-only and private to the instance. A float32
+    or float64 matrix keeps its dtype (read_traces hands over the file's
+    float32 payload); anything else becomes float64. A caller's writable
+    array, or a view of any array, is copied. An array that owns its data
+    and is already read-only is taken over as it is: that is how
     read_traces, detrend and synth_traces hand over the matrices they
     have just made without paying for a second copy.
     """
@@ -149,7 +154,9 @@ class TraceMatrix:
     provenance: str = PROVENANCE_SYNTHETIC
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=float)
+        arr = np.asarray(self.amplitudes)
+        if arr.dtype not in _AMPLITUDE_DTYPES:
+            arr = arr.astype(float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"amplitudes must be a W x M matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

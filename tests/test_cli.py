@@ -2,12 +2,15 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocdvs.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_DETECTION, EXIT_OK, main
 from hocdvs.experiments import trace_config
-from hocdvs.io_formats import HEADER_SIZE
-from hocdvs.synth import format_sim_config
+from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_traces
+from hocdvs.synth import TraceMatrix, format_sim_config
 
 
 @pytest.fixture
@@ -151,6 +154,71 @@ class TestAnalyze:
         code = main(["analyze", "--traces", str(bad), "--method", "hoc",
                      "--window", "100", "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
+
+    def test_huge_header_promise_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.hocdvs"
+        path.write_bytes(struct.pack("<8sIIIddB", MAGIC, 1, 65535, 65535, 1.0, 1.0, 0))
+        code = main(["analyze", "--traces", str(path), "--method", "hoc",
+                     "--window", "100", "--out", str(tmp_path / "o")])
+        assert code == EXIT_IO
+        assert "payload is 0 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["hoc", "mdiff"])
+    def test_zero_background_is_no_detection(self, tmp_path, capsys, method):
+        amps = np.zeros((4, 200))
+        amps[:, 100] = [3.0, -1.0, -1.0, -1.0]
+        path = tmp_path / "quiet.hocdvs"
+        write_traces(path, TraceMatrix(amps, 1.0, 10000.0))
+        code = main(["analyze", "--traces", str(path), "--method", method,
+                     "--window", "4", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NO_DETECTION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "background is exactly zero" in err
+
+    def test_overflowing_location_snr_stays_finite(self, tmp_path):
+        amps = np.zeros((4, 200))
+        amps[:, 100] = [3e38, -1e38, -1e38, -1e38]
+        amps[:, 5] = [1e-44, 0.0, 0.0, 0.0]
+        path = tmp_path / "wide.hocdvs"
+        write_traces(path, TraceMatrix(amps, 1.0, 10000.0))
+        out_dir = tmp_path / "o"
+        code = main(["analyze", "--traces", str(path), "--method", "hoc",
+                     "--window", "4", "--out", str(out_dir)])
+        assert code == EXIT_OK
+        report = json.loads((out_dir / "report_hoc.json").read_text())
+        assert report["peak_index"] == 100
+        assert 1000.0 < report["location_snr_db"] < float("inf")
+
+
+def _fuzz_base() -> bytes:
+    rng = np.random.default_rng(4)
+    amps = 2.8 + rng.normal(0.0, 0.05, size=(6, 70))
+    amps[:4, 35] += 0.5
+    header = struct.pack("<8sIIIddB", MAGIC, 1, 6, 70, 1.0, 10000.0, 0)
+    return header + amps.astype("<f4").tobytes()
+
+
+_FUZZ_BASE = _fuzz_base()
+_FUZZ_POSITION = st.one_of(st.integers(0, HEADER_SIZE - 1),
+                           st.integers(0, len(_FUZZ_BASE) - 1))
+
+
+@given(
+    cut=st.one_of(st.none(), st.integers(0, len(_FUZZ_BASE))),
+    edits=st.lists(st.tuples(_FUZZ_POSITION, st.integers(0, 255)), max_size=6),
+    method=st.sampled_from(["hoc", "mdiff", "mavg"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_trace_files_exit_cleanly(tmp_path_factory, cut, edits, method):
+    blob = bytearray(_FUZZ_BASE)
+    for pos, value in edits:
+        blob[pos] = value
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "t.hocdvs"
+    path.write_bytes(bytes(blob[:cut]))
+    code = main(["analyze", "--traces", str(path), "--method", method, "--window", "6",
+                 "--avg-len", "2", "--out", str(work / "o")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NO_DETECTION, EXIT_IO)
 
 
 class TestExperiment:

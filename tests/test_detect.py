@@ -23,12 +23,12 @@ from hocdvs.errors import (
     BadGuardError,
     NoEdgeError,
     NoPeakError,
-    NotDetrendedError,
     TooFewTracesError,
     WindowExceedsTracesError,
     WindowTooSmallError,
     ZeroBackgroundError,
 )
+from hocdvs.detect import HOC_BLOCK_POINTS
 from hocdvs.experiments import TRACE_WINDOW, analyze_traces, trace_config
 
 
@@ -84,11 +84,45 @@ class TestHocProfile:
             )
             assert prof.values[col] == pytest.approx(expected, rel=1e-12)
 
-    def test_raw_traces_rejected(self):
+    def test_raw_traces_with_offset_match_detrended(self):
         rng = np.random.default_rng(1)
-        raw = matrix(5.0 + rng.normal(size=(20, 4)))
-        with pytest.raises(NotDetrendedError):
-            hoc_profile(raw, window=20)
+        raw = matrix(5.0 + rng.gamma(2.0, size=(20, 4)))
+        ref = hoc_profile(detrend(raw), window=20).values
+        got = hoc_profile(raw, window=20).values
+        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "points",
+        [1, HOC_BLOCK_POINTS - 1, HOC_BLOCK_POINTS, HOC_BLOCK_POINTS + 1,
+         2 * HOC_BLOCK_POINTS + 3],
+    )
+    def test_block_boundaries(self, points):
+        rng = np.random.default_rng(points)
+        raw = 3.0 + rng.gamma(2.0, size=(12, points))
+        residuals = raw - raw.mean(axis=0)
+        ref = np.mean(residuals[:9] ** 3, axis=0)
+        got = hoc_profile(matrix(raw), window=9).values
+        assert got.shape == (points,)
+        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    def test_float32_input_matches_its_float64_widening(self):
+        rng = np.random.default_rng(5)
+        raw32 = (2.8 + rng.gamma(2.0, 0.03, size=(30, HOC_BLOCK_POINTS + 7))).astype(np.float32)
+        got = hoc_profile(TraceMatrix(raw32, 1.0, 10000.0), window=25)
+        wide = hoc_profile(TraceMatrix(raw32.astype(np.float64), 1.0, 10000.0), window=25)
+        np.testing.assert_array_equal(got.values, wide.values)
+
+    def test_window_below_traces_centres_over_all_traces(self):
+        # the perfbench reference: mean over all W traces, cube of the first window
+        rng = np.random.default_rng(9)
+        raw = 2.0 + rng.gamma(2.0, size=(40, 50))
+        mean_all = raw.sum(axis=0) / 40
+        resid = raw[:25] - mean_all
+        ref = (resid * resid * resid).sum(axis=0) / 25
+        got = hoc_profile(matrix(raw), window=25).values
+        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+        centred_on_window = np.mean((raw[:25] - raw[:25].mean(axis=0)) ** 3, axis=0)
+        assert float(np.max(np.abs(got - centred_on_window))) > 1e-3 * float(np.max(np.abs(ref)))
 
     def test_window_exceeds_traces(self):
         with pytest.raises(WindowExceedsTracesError):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +121,26 @@ class TestTraceFile:
         with pytest.raises(CorruptHeaderError):
             read_traces(path)
 
+    def test_payload_is_float32_and_digest_sees_every_byte(self, tmp_path):
+        path = tmp_path / "t.hocdvs"
+        write_traces(path, small_matrix([[1.5, -2.0, 3.0], [4.0, 5.0, -6.25]]))
+        digest = hashlib.sha256()
+        out = read_traces(path, digest=digest)
+        assert out.amplitudes.dtype == np.float32
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_huge_promise_fails_before_allocation(self, tmp_path):
+        path = tmp_path / "t.hocdvs"
+        path.write_bytes(struct.pack("<8sIIIddB", MAGIC, 1, 65535, 65535, 1.0, 1.0, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError, match="payload is 0 bytes"):
+                read_traces(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the promised payload is 17 GB
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_traces(tmp_path / "absent.hocdvs")
@@ -155,6 +177,16 @@ class TestProfileCsv:
         positions, parsed = read_profile_csv(path)
         np.testing.assert_allclose(positions, np.arange(4) * 2.5, rtol=1e-9)
         np.testing.assert_allclose(parsed, values, rtol=1e-9, atol=1e-21)
+
+    @pytest.mark.parametrize("mpp", [1.0, 0.37])
+    def test_rows_match_per_row_rendering(self, tmp_path, mpp):
+        values = np.array([0.1234567891234, -5.5e-4, -0.0, 0.0, 1e-300, -1e-300, 1e115,
+                           -1e115, 3.0, -2.5e-12, 123456789012345.0])
+        prof = HocProfile(values, 10, mpp, METHOD_HOC)
+        path = tmp_path / "p.csv"
+        export_profile_csv(prof, path)
+        rows = [f"{idx * mpp:.12g},{value:.12g}" for idx, value in enumerate(prof.values)]
+        assert path.read_bytes() == ("position_m,value\n" + "\n".join(rows) + "\n").encode()
 
     def test_header_line(self, tmp_path):
         prof = HocProfile(np.array([1.0]), 10, 1.0, METHOD_HOC)

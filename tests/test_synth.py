@@ -299,6 +299,14 @@ class TestTraceMatrixInvariants:
         fresh.setflags(write=False)
         assert TraceMatrix(fresh, 1.0, 1000.0).amplitudes is fresh
 
+    def test_float32_kept_and_other_dtypes_widened(self):
+        fresh = np.ones((2, 3), dtype=np.float32)
+        fresh.setflags(write=False)
+        assert TraceMatrix(fresh, 1.0, 1000.0).amplitudes is fresh
+        for dtype in (np.int32, np.float16):
+            traces = TraceMatrix(np.ones((2, 3), dtype=dtype), 1.0, 1000.0)
+            assert traces.amplitudes.dtype == np.float64
+
     def test_produced_matrices_are_read_only(self, tmp_path):
         traces = synth_traces(trace_config(0.2, seed=4, fiber_points=60, vibration_point=30))
         path = tmp_path / "t.hocdvs"
