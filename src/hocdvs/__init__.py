@@ -22,7 +22,6 @@ from .detect import (
 from .io_formats import (
     export_profile_csv,
     read_profile_csv,
-    read_report_json,
     read_traces,
     write_report_json,
     write_traces,
@@ -91,7 +90,6 @@ __all__ = [
     "parse_sim_config",
     "power",
     "read_profile_csv",
-    "read_report_json",
     "read_traces",
     "snr2_db",
     "snr_db",

@@ -12,45 +12,13 @@ import sys
 from pathlib import Path
 
 from . import detect, experiments, io_formats
-from .errors import (
-    BadAverageLengthError,
-    BadConfigError,
-    BadGuardError,
-    CorruptHeaderError,
-    HocdvsError,
-    IoError,
-    NoPeakError,
-    NotATraceFileError,
-    TooFewTracesError,
-    TruncatedPayloadError,
-    UnknownPresetError,
-    WindowExceedsTracesError,
-    WindowTooSmallError,
-    ZeroBackgroundError,
-)
+from .errors import BadConfigError, ConfigError, HocdvsError, NoDetectionError, PersistenceError
 from .synth import config_digest, load_sim_config, synth_traces
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NO_DETECTION = 3
-EXIT_IO = 4
-
-_METHOD_ALIASES = {
-    "hoc": detect.METHOD_HOC,
-    "mdiff": detect.METHOD_MOVING_DIFFERENTIAL,
-    "mavg": detect.METHOD_MOVING_AVERAGE,
-}
-
-_CONFIG_ERRORS = (
-    BadConfigError,
-    UnknownPresetError,
-    WindowExceedsTracesError,
-    WindowTooSmallError,
-    TooFewTracesError,
-    BadAverageLengthError,
-    BadGuardError,
-)
-_IO_ERRORS = (IoError, NotATraceFileError, CorruptHeaderError, TruncatedPayloadError)
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_NO_DETECTION = NoDetectionError.exit_code
+EXIT_IO = PersistenceError.exit_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser("analyze", help="detect and localize an event in a trace file")
     p_ana.add_argument("--traces", required=True, help="input trace file")
-    p_ana.add_argument("--method", required=True, choices=sorted(_METHOD_ALIASES))
+    p_ana.add_argument("--method", required=True, choices=sorted(detect.METHOD_ALIASES))
     p_ana.add_argument("--window", required=True, type=int, help="traces per window")
     p_ana.add_argument("--out", required=True, help="output directory")
     p_ana.add_argument("--avg-len", type=int, default=5,
@@ -118,7 +86,7 @@ def cmd_analyze(
     guard: int = experiments.TRACE_GUARD,
     min_snr_db: float | None = None,
 ) -> int:
-    method = _METHOD_ALIASES[method_alias]
+    method = detect.METHOD_ALIASES[method_alias]
     digest_src = hashlib.sha256()
     traces = io_formats.read_traces(trace_path, digest=digest_src)
     digest_src.update(
@@ -170,21 +138,12 @@ def main(argv=None) -> int:
             )
         seeds = _parse_seed_range(args.seeds) if args.seeds else None
         return cmd_experiment(args.preset, args.out, seeds=seeds)
-    except (NoPeakError, ZeroBackgroundError) as exc:
-        print(f"no detection: {exc}", file=sys.stderr)
-        return EXIT_NO_DETECTION
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _IO_ERRORS as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except HocdvsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{PersistenceError.label}: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -26,13 +26,18 @@ from .errors import (
     WindowTooSmallError,
     ZeroBackgroundError,
 )
-from .stats import mean_cube_axis0
+from .stats import _freeze, mean_cube_axis0
 from .synth import TraceMatrix
 
 METHOD_HOC = "hoc"
 METHOD_MOVING_DIFFERENTIAL = "moving_differential"
 METHOD_MOVING_AVERAGE = "moving_average"
-METHODS = (METHOD_HOC, METHOD_MOVING_DIFFERENTIAL, METHOD_MOVING_AVERAGE)
+# CLI alias -> the method name that profiles and reports carry
+METHOD_ALIASES = {
+    "hoc": METHOD_HOC,
+    "mdiff": METHOD_MOVING_DIFFERENTIAL,
+    "mavg": METHOD_MOVING_AVERAGE,
+}
 
 # Fiber points per block of hoc_profile: a float64 block of 500 traces is
 # 4 MB, which stays in cache while it is centred and cubed.
@@ -56,11 +61,9 @@ class HocProfile:
             raise ValueError(f"window must be >= 2 traces, got {self.window}")
         if not (math.isfinite(self.meters_per_point) and self.meters_per_point > 0):
             raise ValueError("meters_per_point must be finite and > 0")
-        if self.method not in METHODS:
+        if self.method not in METHOD_ALIASES.values():
             raise ValueError(f"unknown method {self.method!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _freeze(arr, self.values))
 
     @property
     def fiber_points(self) -> int:
@@ -80,9 +83,11 @@ class DetectionReport:
     def __post_init__(self) -> None:
         if self.peak_index < 0:
             raise ValueError("peak_index must be >= 0")
+        if not math.isfinite(self.peak_position_m):
+            raise ValueError("peak_position_m must be finite")
         if not math.isfinite(self.location_snr_db):
             raise ValueError("location_snr_db must be finite")
-        if self.method not in METHODS:
+        if self.method not in METHOD_ALIASES.values():
             raise ValueError(f"unknown method {self.method!r}")
 
 

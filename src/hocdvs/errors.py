@@ -2,7 +2,35 @@
 
 
 class HocdvsError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    The CLI exits with `exit_code` and prefixes stderr with `label`; the
+    three categories below set both for their subclasses.
+    """
+
+    exit_code = 1
+    label = "error"
+
+
+class ConfigError(HocdvsError):
+    """Invalid configuration or usage: exit 2."""
+
+    exit_code = 2
+    label = "config error"
+
+
+class NoDetectionError(HocdvsError):
+    """The data holds no usable detection: exit 3."""
+
+    exit_code = 3
+    label = "no detection"
+
+
+class PersistenceError(HocdvsError):
+    """A file could not be read or written, or is corrupt: exit 4."""
+
+    exit_code = 4
+    label = "i/o error"
 
 
 # --- sequence / estimator errors ---------------------------------------------
@@ -53,37 +81,37 @@ class BadIntervalError(HocdvsError):
     """An asymmetry interval is empty or outside the truncation window."""
 
 
-class BadConfigError(HocdvsError):
+class BadConfigError(ConfigError):
     """A simulation config is invalid, incomplete, or unparseable."""
 
 
 # --- detection errors ---------------------------------------------------------
 
-class TooFewTracesError(HocdvsError):
+class TooFewTracesError(ConfigError):
     """At least two traces are needed to remove the static trend."""
 
 
-class WindowExceedsTracesError(HocdvsError):
+class WindowExceedsTracesError(ConfigError):
     """The requested window is larger than the number of traces."""
 
 
-class WindowTooSmallError(HocdvsError):
+class WindowTooSmallError(ConfigError):
     """The requested window holds fewer than two traces."""
 
 
-class BadAverageLengthError(HocdvsError):
+class BadAverageLengthError(ConfigError):
     """Block-average length does not leave at least two blocks to difference."""
 
 
-class NoPeakError(HocdvsError):
+class NoPeakError(NoDetectionError):
     """The profile contains no usable peak (all zero or non-finite)."""
 
 
-class BadGuardError(HocdvsError):
+class BadGuardError(ConfigError):
     """The guard band leaves no background samples."""
 
 
-class ZeroBackgroundError(HocdvsError):
+class ZeroBackgroundError(NoDetectionError):
     """Background power is exactly zero; the SNR ratio is undefined."""
 
 
@@ -93,23 +121,23 @@ class NoEdgeError(HocdvsError):
 
 # --- persistence errors -------------------------------------------------------
 
-class IoError(HocdvsError):
+class IoError(PersistenceError):
     """An underlying file operation failed; message carries the path."""
 
 
-class NotATraceFileError(HocdvsError):
+class NotATraceFileError(PersistenceError):
     """The file does not start with the trace-file magic tag."""
 
 
-class CorruptHeaderError(HocdvsError):
+class CorruptHeaderError(PersistenceError):
     """Trace-file header fields are inconsistent with the payload."""
 
 
-class TruncatedPayloadError(HocdvsError):
+class TruncatedPayloadError(PersistenceError):
     """The file ends before the advertised payload is complete."""
 
 
 # --- experiment runner errors --------------------------------------------------
 
-class UnknownPresetError(HocdvsError):
+class UnknownPresetError(ConfigError):
     """The requested experiment preset name is not recognized."""

@@ -165,9 +165,9 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return positions, values
 
 
-def report_to_dict(report: DetectionReport, *, window: int, config_digest: str) -> dict:
-    """Wire-format dict for a detection report."""
-    return {
+def write_report_json(path, report: DetectionReport, *, window: int, config_digest: str) -> None:
+    """Serialize a detection report deterministically (sorted keys)."""
+    payload = {
         "method": report.method,
         "peak_index": report.peak_index,
         "peak_position_m": report.peak_position_m,
@@ -176,22 +176,9 @@ def report_to_dict(report: DetectionReport, *, window: int, config_digest: str) 
         "window": window,
         "config_digest": config_digest,
     }
-
-
-def write_report_json(path, report: DetectionReport, *, window: int, config_digest: str) -> None:
-    """Serialize a detection report deterministically (sorted keys)."""
-    payload = report_to_dict(report, window=window, config_digest=config_digest)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write report to {path}: {exc}") from exc
-
-
-def read_report_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read report from {path}: {exc}") from exc

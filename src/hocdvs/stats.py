@@ -34,6 +34,16 @@ CENTER_TOL = 1e-12
 NOISE_C3_FLOOR = 1e-3
 
 
+def _freeze(arr: np.ndarray, source) -> np.ndarray:
+    """Return arr read-only, copying it unless it owns its data and no caller
+    can write to it: asarray or astype has just made it from source, or it
+    is source and arrived read-only."""
+    if not arr.flags.owndata or (arr is source and arr.flags.writeable):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """A finite real-valued time series with an explicit centering flag."""
@@ -54,9 +64,7 @@ class Sequence:
                 raise NotCenteredError(
                     f"sequence flagged centered but mean is {mean:.3e}"
                 )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _freeze(arr, self.samples))
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -95,10 +103,8 @@ class Histogram:
             raise ValueError("counts must be non-negative")
         if int(counts.sum()) + self.out_of_range != self.total:
             raise ValueError("counts plus out-of-range samples must equal total")
-        for name, arr in (("bin_edges", edges), ("counts", counts)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "bin_edges", _freeze(edges, self.bin_edges))
+        object.__setattr__(self, "counts", _freeze(counts, self.counts))
 
 
 def center(x: Sequence) -> Sequence:

@@ -37,7 +37,7 @@ from .errors import (
     IoError,
     ZeroSignalError,
 )
-from .stats import Sequence, power
+from .stats import Sequence, _freeze, power
 
 # Domain of the truncated standard normal; about 0.054% of raw draws fall
 # outside and are rejected.
@@ -46,6 +46,7 @@ TRUNCATION_LIMIT = 3.46
 PROVENANCE_SYNTHETIC = "synthetic"
 PROVENANCE_RECORDED = "recorded"
 _PROVENANCES = (PROVENANCE_SYNTHETIC, PROVENANCE_RECORDED)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _finite_positive(value: float) -> bool:
@@ -117,7 +118,15 @@ class SimConfig:
             (self.fiber_points >= 1, "fiber_points must be >= 1"),
             (self.num_traces >= 1, "num_traces must be >= 1"),
             (self.pulse_width_points >= 1, "pulse_width_points must be >= 1"),
+            (
+                max(self.pulse_width_points, self.vibration.period_samples) < 2**63,
+                "pulse_width_points and vibration.period_samples must be < 2**63",
+            ),
             (_finite_positive(self.meters_per_point), "meters_per_point must be finite and > 0"),
+            (
+                math.isfinite(self.meters_per_point * self.fiber_points),
+                "fiber extent meters_per_point * fiber_points must be finite",
+            ),
             (_finite_positive(self.trace_rate_hz), "trace_rate_hz must be finite and > 0"),
             (
                 0 <= self.vibration_point < self.fiber_points,
@@ -126,6 +135,7 @@ class SimConfig:
             (0.0 <= self.vibration_depth <= 1.0, "vibration_depth must be in [0, 1]"),
             (self.noise_sigma >= 0, "noise_sigma must be >= 0"),
             (self.sop_sigma >= 0, "sop_sigma must be >= 0"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, message in checks:
             if not ok:
@@ -141,11 +151,11 @@ class TraceMatrix:
 
     The stored matrix is read-only and private to the instance. A float32
     or float64 matrix keeps its dtype (read_traces hands over the file's
-    float32 payload); anything else becomes float64. A caller's writable
-    array, or a view of any array, is copied. An array that owns its data
-    and is already read-only is taken over as it is: that is how
-    read_traces, detrend and synth_traces hand over the matrices they
-    have just made without paying for a second copy.
+    float32 payload); anything else becomes float64. It is frozen by the
+    rule of stats._freeze, which takes over an array that owns its data
+    and is already read-only: that is how read_traces, detrend and
+    synth_traces hand over the matrices they have just made without
+    paying for a second copy.
     """
 
     amplitudes: np.ndarray
@@ -159,19 +169,16 @@ class TraceMatrix:
             arr = arr.astype(float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"amplitudes must be a W x M matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # NaN propagates through min and max, so no W x M mask is needed
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("amplitudes must be finite")
         if not (_finite_positive(self.meters_per_point) and _finite_positive(self.trace_rate_hz)):
             raise ValueError("meters_per_point and trace_rate_hz must be finite and > 0")
+        if not math.isfinite(self.meters_per_point * arr.shape[1]):
+            raise ValueError("fiber extent meters_per_point * fiber_points must be finite")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        # Keep arr uncopied only if it owns its data and no caller can write
-        # to it: asarray has just made it, or it arrived read-only.
-        private = arr.flags.owndata and (arr is not self.amplitudes or not arr.flags.writeable)
-        if not private:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", _freeze(arr, self.amplitudes))
 
     @property
     def num_traces(self) -> int:
@@ -212,7 +219,7 @@ def asymmetrize(x: Sequence, spec: AsymmetrySpec) -> Sequence:
 
 def gen_square_wave(n: int, spec: SquareWaveSpec) -> Sequence:
     """Periodic offset square wave of n samples."""
-    idx = (np.arange(n) - spec.phase_samples) % spec.period_samples
+    idx = (np.arange(n) - spec.phase_samples % spec.period_samples) % spec.period_samples
     samples = np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
     return Sequence(samples)
 
@@ -245,18 +252,22 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
 
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
     csum = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(1j * phases))])
-    stop = np.minimum(np.arange(m) + pw, m)
+    stop = np.minimum(np.arange(m) + min(pw, m), m)
     baseline = np.abs(csum[stop] - csum[np.arange(m)])
 
     drive = gen_square_wave(w, cfg.vibration).samples
     offsets = np.abs(np.arange(m) - cfg.vibration_point)
     kernel = np.clip(1.0 - offsets / pw, 0.0, None)
     event_amplitude = cfg.vibration_depth * baseline[cfg.vibration_point]
-    clean = baseline[None, :] + event_amplitude * kernel[None, :] * drive[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
+        clean = baseline[None, :] + event_amplitude * kernel[None, :] * drive[:, None]
 
-    sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
-    noise = rng.normal(0.0, cfg.noise_sigma, size=(w, m))
-    amplitudes = sop[:, None] * clean + noise
+        sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
+        noise = rng.normal(0.0, cfg.noise_sigma, size=(w, m))
+        amplitudes = sop[:, None] * clean + noise
+    # NaN fails both comparisons, as does anything a trace file cannot store
+    if not (-_FLOAT32_MAX <= amplitudes.min() and amplitudes.max() <= _FLOAT32_MAX):
+        raise BadConfigError("config drives amplitudes beyond the float32 range of trace files")
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=amplitudes,
@@ -288,7 +299,8 @@ _FLOAT_KEYS = {
 }
 CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+# 640 digits: the lowest limit Python can put on int() of a decimal string
+_INT_RE = re.compile(r"[+-]?[0-9]{1,640}")
 
 
 def _parse_literal(key: str, literal: str):
@@ -340,21 +352,21 @@ def parse_sim_config(text: str) -> SimConfig:
             amplitude=values["vibration.amplitude"],
             phase_samples=values["vibration.phase_samples"],
         )
-    except ValueError as exc:
+        return SimConfig(
+            fiber_points=values["fiber_points"],
+            num_traces=values["num_traces"],
+            pulse_width_points=values["pulse_width_points"],
+            meters_per_point=values["meters_per_point"],
+            trace_rate_hz=values["trace_rate_hz"],
+            vibration_point=values["vibration_point"],
+            vibration=wave,
+            vibration_depth=values["vibration_depth"],
+            noise_sigma=values["noise_sigma"],
+            sop_sigma=values["sop_sigma"],
+            seed=values["seed"],
+        )
+    except (ValueError, OverflowError) as exc:
         raise BadConfigError(str(exc)) from None
-    return SimConfig(
-        fiber_points=values["fiber_points"],
-        num_traces=values["num_traces"],
-        pulse_width_points=values["pulse_width_points"],
-        meters_per_point=values["meters_per_point"],
-        trace_rate_hz=values["trace_rate_hz"],
-        vibration_point=values["vibration_point"],
-        vibration=wave,
-        vibration_depth=values["vibration_depth"],
-        noise_sigma=values["noise_sigma"],
-        sop_sigma=values["sop_sigma"],
-        seed=values["seed"],
-    )
 
 
 def load_sim_config(path) -> SimConfig:

@@ -1,16 +1,26 @@
 import hashlib
 import json
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hocdvs import cli, errors
 from hocdvs.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_DETECTION, EXIT_OK, main
+from hocdvs.errors import BadConfigError, HocdvsError
 from hocdvs.experiments import trace_config
-from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_traces
-from hocdvs.synth import TraceMatrix, format_sim_config
+from hocdvs.io_formats import HEADER_SIZE, MAGIC, read_traces, write_traces
+from hocdvs.synth import (
+    SimConfig,
+    SquareWaveSpec,
+    TraceMatrix,
+    format_sim_config,
+    parse_sim_config,
+)
 
 
 @pytest.fixture
@@ -53,6 +63,28 @@ class TestSimulate:
         code = main(["simulate", "--config", str(tmp_path / "none.txt"),
                      "--out", str(tmp_path / "x.hocdvs")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [("meters_per_point", "1.0e307"), ("noise_sigma", "1.0e39"),
+         ("vibration.amplitude", "1.0e300"), ("noise_sigma", "1.0e308"), ("seed", "-1"),
+         ("pulse_width_points", str(2**63)), ("vibration.period_samples", "1" + "0" * 20)],
+    )
+    def test_config_that_cannot_be_simulated_is_config_error(self, tmp_path, capsys, key,
+                                                             literal):
+        # 70 points x 6 traces; each value overflows the fiber extent, overflows
+        # the float32 payload, cannot seed the generator, or exceeds int64
+        text = format_sim_config(trace_config(0.2, 0, fiber_points=70, num_traces=6,
+                                              vibration_point=35))
+        path = tmp_path / "c.cfg"
+        path.write_text(re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {literal}", text,
+                               flags=re.MULTILINE))
+        out = tmp_path / "x.hocdvs"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -136,6 +168,18 @@ class TestAnalyze:
         code = main(["analyze", "--traces", str(trace_file), "--method", "hoc",
                      "--window", "100", "--out", str(out_dir)])
         assert code == EXIT_IO
+        assert not out_dir.exists()
+
+    def test_infinite_fiber_extent_is_io_error(self, tmp_path, capsys):
+        blob = bytearray(_FUZZ_BASE)
+        struct.pack_into("<d", blob, 20, 1.0e307)  # 70 points x 1e307 m overflows
+        path = tmp_path / "far.hocdvs"
+        path.write_bytes(bytes(blob))
+        out_dir = tmp_path / "far"
+        code = main(["analyze", "--traces", str(path), "--method", "hoc",
+                     "--window", "6", "--out", str(out_dir)])
+        assert code == EXIT_IO
+        assert "fiber extent" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_report_digest_hashes_file_bytes_and_settings(self, tmp_path, trace_file):
@@ -238,3 +282,128 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9_unknown", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+# Every HocdvsError subclass: (CLI exit code, stderr label). A class missing
+# here fails test_exit_code_table_covers_every_error_class.
+EXIT_TABLE = {
+    "HocdvsError": (1, "error"),
+    "ConfigError": (2, "config error"),
+    "NoDetectionError": (3, "no detection"),
+    "PersistenceError": (4, "i/o error"),
+    "EmptySequenceError": (1, "error"),
+    "LengthMismatchError": (1, "error"),
+    "NotCenteredError": (1, "error"),
+    "LagTooLargeError": (1, "error"),
+    "NonPositiveNoiseError": (1, "error"),
+    "ZeroSignalError": (1, "error"),
+    "PowerMismatchError": (1, "error"),
+    "DegenerateNoiseReferenceError": (1, "error"),
+    "BadRangeError": (1, "error"),
+    "EmptyRequestError": (1, "error"),
+    "BadIntervalError": (1, "error"),
+    "NoEdgeError": (1, "error"),
+    "BadConfigError": (2, "config error"),
+    "UnknownPresetError": (2, "config error"),
+    "TooFewTracesError": (2, "config error"),
+    "WindowExceedsTracesError": (2, "config error"),
+    "WindowTooSmallError": (2, "config error"),
+    "BadAverageLengthError": (2, "config error"),
+    "BadGuardError": (2, "config error"),
+    "NoPeakError": (3, "no detection"),
+    "ZeroBackgroundError": (3, "no detection"),
+    "IoError": (4, "i/o error"),
+    "NotATraceFileError": (4, "i/o error"),
+    "CorruptHeaderError": (4, "i/o error"),
+    "TruncatedPayloadError": (4, "i/o error"),
+}
+
+
+def _error_classes(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_exit_code_table_covers_every_error_class():
+    found = {cls.__name__: (cls.exit_code, cls.label) for cls in _error_classes(HocdvsError)}
+    assert found == EXIT_TABLE
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_TABLE))
+def test_main_exits_with_the_error_code_and_label(tmp_path, capsys, monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "cmd_experiment", fail)
+    code = main(["experiment", "--preset", "fig1_asymmetry", "--out", str(tmp_path)])
+    exit_code, label = EXIT_TABLE[name]
+    assert code == exit_code
+    assert capsys.readouterr().err == f"{label}: boom\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def sim_configs(draw):
+    """Valid configs of at most 64 x 64, reals from the whole finite range."""
+    fiber_points = draw(st.integers(1, 64))
+    period = draw(st.integers(2, _INT64_MAX))
+    duty = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    assume(round(duty * period) >= 1)
+    mpp = draw(_POSITIVE)
+    assume(math.isfinite(mpp * fiber_points))
+    return SimConfig(
+        fiber_points=fiber_points,
+        num_traces=draw(st.integers(1, 64)),
+        pulse_width_points=draw(st.integers(1, _INT64_MAX)),
+        meters_per_point=mpp,
+        trace_rate_hz=draw(_POSITIVE),
+        vibration_point=draw(st.integers(0, fiber_points - 1)),
+        vibration=SquareWaveSpec(duty=duty, period_samples=period, amplitude=draw(_FINITE),
+                                 phase_samples=draw(st.integers())),
+        vibration_depth=draw(st.floats(0.0, 1.0)),
+        noise_sigma=draw(_NON_NEGATIVE),
+        sop_sigma=draw(_NON_NEGATIVE),
+        seed=draw(st.integers(min_value=0)),
+    )
+
+
+# (position, characters cut, text inserted); long digit runs reach integers
+# too large for a float or for int() of a string
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 10**4), st.integers(0, 3),
+              st.text(alphabet="0123456789+-.e_=# \nabcdfinpstuvx", max_size=25)
+              | st.text(alphabet="0123456789", min_size=300, max_size=5000)),
+    min_size=1, max_size=4,
+)
+
+
+@given(cfg=sim_configs(), edits=_EDITS)
+@settings(max_examples=100, deadline=None)
+def test_config_round_trip_mutation_and_simulate(tmp_path_factory, cfg, edits):
+    text = format_sim_config(cfg)
+    assert parse_sim_config(text) == cfg
+
+    mutated = text
+    for pos, cut, insert in edits:
+        pos %= len(mutated) + 1
+        mutated = mutated[:pos] + insert + mutated[pos + cut:]
+    try:
+        parse_sim_config(mutated)
+    except BadConfigError:
+        pass
+
+    work = tmp_path_factory.mktemp("sim")
+    (work / "c.cfg").write_text(text)
+    out = work / "t.hocdvs"
+    code = main(["simulate", "--config", str(work / "c.cfg"), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        assert read_traces(out).fiber_points == cfg.fiber_points
+    else:
+        assert not out.exists()

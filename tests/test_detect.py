@@ -5,6 +5,7 @@ from hocdvs import (
     METHOD_HOC,
     METHOD_MOVING_AVERAGE,
     METHOD_MOVING_DIFFERENTIAL,
+    DetectionReport,
     HocProfile,
     Sequence,
     TraceMatrix,
@@ -364,3 +365,10 @@ class TestProfileProperties:
             sr_m = spatial_resolution(prof_m, locate_peak(prof_m)[0])
             assert sr_h < sr_m
             assert 0.4 <= sr_h / sr_m <= 0.7
+
+
+@pytest.mark.parametrize("position", [np.inf, np.nan])
+def test_report_requires_finite_peak_position(position):
+    with pytest.raises(ValueError, match="peak_position_m"):
+        DetectionReport(peak_index=1, peak_position_m=position, location_snr_db=10.0,
+                        spatial_resolution_m=None, method=METHOD_HOC)

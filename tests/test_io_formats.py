@@ -14,7 +14,6 @@ from hocdvs import (
     TraceMatrix,
     export_profile_csv,
     read_profile_csv,
-    read_report_json,
     read_traces,
     write_report_json,
     write_traces,
@@ -208,7 +207,7 @@ class TestReportJson:
     def test_schema_keys(self, tmp_path):
         path = tmp_path / "r.json"
         write_report_json(path, self.make_report(), window=100, config_digest="abc123")
-        data = read_report_json(path)
+        data = json.loads(path.read_text(encoding="utf-8"))
         assert set(data) == {
             "method",
             "peak_index",

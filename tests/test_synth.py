@@ -3,7 +3,10 @@ import pytest
 from scipy.stats import norm
 
 from hocdvs import (
+    METHOD_HOC,
     AsymmetrySpec,
+    Histogram,
+    HocProfile,
     Sequence,
     SquareWaveSpec,
     TraceMatrix,
@@ -261,10 +264,11 @@ class TestConfigFiles:
 
 
 class TestTraceMatrixInvariants:
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
         bad = np.ones((2, 3))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        bad[0, 0] = value
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
             TraceMatrix(bad, 1.0, 1000.0)
 
     def test_rejects_one_dimensional(self):
@@ -273,31 +277,11 @@ class TestTraceMatrixInvariants:
 
     @pytest.mark.parametrize(
         "mpp, rate", [(float("nan"), 1000.0), (float("inf"), 1000.0), (1.0, float("nan")),
-                      (1.0, float("inf")), (0.0, 1000.0), (1.0, -1.0)]
+                      (1.0, float("inf")), (0.0, 1000.0), (1.0, -1.0), (1.0e308, 1000.0)]
     )
     def test_rejects_bad_metadata(self, mpp, rate):
         with pytest.raises(ValueError):
             TraceMatrix(np.ones((2, 3)), mpp, rate)
-
-    def test_caller_array_is_copied(self):
-        caller = np.ones((2, 3))
-        traces = TraceMatrix(caller, 1.0, 1000.0)
-        caller[0, 0] = 99.0
-        assert traces.amplitudes[0, 0] == 1.0
-        assert not traces.amplitudes.flags.writeable
-
-    def test_read_only_view_is_copied(self):
-        base = np.ones((4, 3))
-        view = base[1:]
-        view.setflags(write=False)
-        traces = TraceMatrix(view, 1.0, 1000.0)
-        base[1, 0] = 99.0
-        assert traces.amplitudes[0, 0] == 1.0
-
-    def test_fresh_read_only_array_is_taken_over(self):
-        fresh = np.ones((2, 3))
-        fresh.setflags(write=False)
-        assert TraceMatrix(fresh, 1.0, 1000.0).amplitudes is fresh
 
     def test_float32_kept_and_other_dtypes_widened(self):
         fresh = np.ones((2, 3), dtype=np.float32)
@@ -314,3 +298,47 @@ class TestTraceMatrixInvariants:
         for produced in (traces, detrend(traces), read_traces(path)):
             assert not produced.amplitudes.flags.writeable
             assert produced.amplitudes.flags.owndata
+
+
+# The four array-holding dataclasses share one copy-and-freeze rule. Each
+# entry builds an instance from an array and returns the array it stores,
+# with the shape that array needs.
+FROZEN = {
+    "Sequence": (lambda a: Sequence(a).samples, (3,)),
+    "Histogram": (lambda a: Histogram(a, [1, 1], 2).bin_edges, (3,)),
+    "TraceMatrix": (lambda a: TraceMatrix(a, 1.0, 1000.0).amplitudes, (2, 3)),
+    "HocProfile": (lambda a: HocProfile(a, 2, 1.0, METHOD_HOC).values, (3,)),
+}
+
+
+def increasing(shape):
+    """1, 2, 3, ... in a fresh array that owns its data."""
+    return np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape).copy()
+
+
+@pytest.mark.parametrize("kind", list(FROZEN))
+class TestFrozenArrays:
+    def test_caller_array_is_copied(self, kind):
+        build, shape = FROZEN[kind]
+        caller = increasing(shape)
+        stored = build(caller)
+        caller.flat[0] = 99.0
+        assert stored.flat[0] == 1.0
+        assert not stored.flags.writeable
+
+    def test_read_only_view_is_copied(self, kind):
+        build, shape = FROZEN[kind]
+        base = increasing((shape[0] + 1,) + shape[1:])
+        view = base[1:]
+        view.setflags(write=False)
+        first = float(view.flat[0])
+        stored = build(view)
+        base[1] = 99.0
+        assert stored.flat[0] == first
+        assert not stored.flags.writeable
+
+    def test_fresh_read_only_array_is_taken_over(self, kind):
+        build, shape = FROZEN[kind]
+        fresh = increasing(shape)
+        fresh.setflags(write=False)
+        assert build(fresh) is fresh
