@@ -35,7 +35,6 @@ from .stats import (
     joint_cumulant3,
     power,
     snr2_db,
-    snr_db,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "read_profile_csv",
     "read_traces",
     "snr2_db",
-    "snr_db",
     "spatial_resolution",
     "synth_traces",
     "third_cumulant_lagged",

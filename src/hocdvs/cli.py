@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config/usage error, 3 no detection (no peak, or
-a background that is exactly zero), 4 I/O error.
+Exit codes: 0 success, 2 config/usage error, 3 no detection (no peak, a
+background that is exactly zero, or a location SNR below --min-snr-db),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="treat detections below this location SNR as none (exit 3)")
 
     p_exp = sub.add_parser("experiment", help="run a named preset")
-    p_exp.add_argument("--preset", required=True, choices=experiments.PRESET_NAMES)
+    p_exp.add_argument("--preset", required=True, choices=experiments.PRESETS)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--seeds", default=None,
                        help="inclusive seed range a..b overriding the preset default")
@@ -109,8 +110,7 @@ def cmd_analyze(
         f"location_snr_db={report.location_snr_db:.6g}"
     )
     if min_snr_db is not None and report.location_snr_db < min_snr_db:
-        print(f"location SNR below threshold {min_snr_db:g} dB; treating as no detection")
-        return EXIT_NO_DETECTION
+        raise NoDetectionError(f"location SNR below threshold {min_snr_db:g} dB")
     return EXIT_OK
 
 

@@ -204,36 +204,28 @@ def location_snr(profile: HocProfile, peak_index: int, guard: int) -> float:
     return 20.0 * math.log10(abs(peak_val)) - 10.0 * math.log10(bg_power)
 
 
-def spatial_resolution(
-    profile: HocProfile,
-    peak_index: int,
-    *,
-    background: float | None = None,
-    max_search_points: int | None = None,
-) -> float:
+def spatial_resolution(profile: HocProfile, peak_index: int) -> float:
     """Distance between the 10% and 90% crossings of the rising edge.
 
     Walks left from the peak and linearly interpolates the first segments
     where |values| crosses 90% and then 10% of the peak-to-background
-    span. Background defaults to the profile-wide median of |values|.
-    max_search_points bounds how far left of the peak the edge may extend.
+    span. The background level is the profile-wide median of |values|.
     """
     vals = np.abs(profile.values)
     m = profile.fiber_points
     if not 0 <= peak_index < m:
         raise ValueError(f"peak_index {peak_index} outside profile of {m} points")
     peak_val = float(vals[peak_index])
-    bg = float(np.median(vals)) if background is None else float(background)
+    bg = float(np.median(vals))
     span = peak_val - bg
     if span <= 0.0:
         raise NoEdgeError("peak does not rise above the background level")
     hi_level = bg + 0.9 * span
     lo_level = bg + 0.1 * span
 
-    first = 0 if max_search_points is None else max(0, peak_index - max_search_points)
     x_hi: float | None = None
     x_lo: float | None = None
-    for left in range(peak_index - 1, first - 1, -1):
+    for left in range(peak_index - 1, -1, -1):
         lower = float(vals[left])
         upper = float(vals[left + 1])
         if x_hi is None and lower < hi_level <= upper:

@@ -51,10 +51,6 @@ class LagTooLargeError(HocdvsError):
     """A requested lag is not smaller than the sequence length."""
 
 
-class NonPositiveNoiseError(HocdvsError):
-    """Noise power must be strictly positive for a dB ratio."""
-
-
 class ZeroSignalError(HocdvsError):
     """Signal power is zero where a positive power is required."""
 

@@ -22,6 +22,7 @@ from .synth import (
     SimConfig,
     SquareWaveSpec,
     TraceMatrix,
+    _sim_config,
     asymmetrize,
     config_digest,
     gen_square_wave,
@@ -64,19 +65,6 @@ TRACE_SOP_SIGMA = 0.005
 TRACE_WINDOW = 100
 TRACE_GUARD = 3 * TRACE_PULSE_POINTS
 
-PRESET_NAMES = (
-    "fig1_asymmetry",
-    "fig2a_length_sweep",
-    "fig2b_snr_sweep",
-    "e2e_localization",
-)
-PRESET_SEEDS = {
-    "fig1_asymmetry": tuple(range(50)),
-    "fig2a_length_sweep": tuple(range(200)),
-    "fig2b_snr_sweep": tuple(range(200)),
-    "e2e_localization": tuple(range(50)),
-}
-
 _MAX_REFERENCE_RETRIES = 64
 
 
@@ -112,15 +100,15 @@ def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:
     return out
 
 
-def snr2_sample(duty: float, length: int, snr1_db: float, seed: int,
-                *, period: int = SNR2_PERIOD) -> float:
+def snr2_sample(duty: float, length: int, snr1_db: float, seed: int) -> float:
     """One output-SNR measurement for a square wave mixed at snr1_db.
 
     The equal-power noise reference is drawn from a child seed; if its own
     cumulant is degenerate the draw is repeated with the next child seed,
     so the procedure stays deterministic per (duty, length, snr1_db, seed).
     """
-    wave = gen_square_wave(length, SquareWaveSpec(duty=duty, period_samples=period, amplitude=1.0))
+    spec = SquareWaveSpec(duty=duty, period_samples=SNR2_PERIOD, amplitude=1.0)
+    wave = gen_square_wave(length, spec)
     mixed = center(mix_at_snr1(wave, snr1_db, derive_seed(seed, 1)))
     target_power = power(mixed)
     for attempt in range(_MAX_REFERENCE_RETRIES):
@@ -145,25 +133,23 @@ def snr2_statistics(duty: float, length: int, snr1_db: float, seeds) -> tuple[fl
 
 def trace_config(duty: float, seed: int, **overrides) -> SimConfig:
     """Trace-scale config with the event drive at the given duty cycle."""
-    params = dict(
-        fiber_points=TRACE_FIBER_POINTS,
-        num_traces=TRACE_COUNT,
-        pulse_width_points=TRACE_PULSE_POINTS,
-        meters_per_point=1.0,
-        trace_rate_hz=TRACE_RATE_HZ,
-        vibration_point=TRACE_VIBRATION_POINT,
-        vibration_depth=TRACE_DEPTH,
-        noise_sigma=TRACE_NOISE_SIGMA,
-        sop_sigma=TRACE_SOP_SIGMA,
-        seed=seed,
-    )
-    wave = dict(duty=duty, period_samples=TRACE_DRIVE_PERIOD, amplitude=1.0, phase_samples=0)
-    for key, value in overrides.items():
-        if key.startswith("vibration."):
-            wave[key.split(".", 1)[1]] = value
-        else:
-            params[key] = value
-    return SimConfig(vibration=SquareWaveSpec(**wave), **params)
+    return _sim_config({
+        "fiber_points": TRACE_FIBER_POINTS,
+        "num_traces": TRACE_COUNT,
+        "pulse_width_points": TRACE_PULSE_POINTS,
+        "meters_per_point": 1.0,
+        "trace_rate_hz": TRACE_RATE_HZ,
+        "vibration_point": TRACE_VIBRATION_POINT,
+        "vibration_depth": TRACE_DEPTH,
+        "noise_sigma": TRACE_NOISE_SIGMA,
+        "sop_sigma": TRACE_SOP_SIGMA,
+        "seed": seed,
+        "vibration.duty": duty,
+        "vibration.period_samples": TRACE_DRIVE_PERIOD,
+        "vibration.amplitude": 1.0,
+        "vibration.phase_samples": 0,
+        **overrides,
+    })
 
 
 def analyze_traces(
@@ -199,12 +185,12 @@ def analyze_traces(
     return profile, report
 
 
-def localization_sweep(seeds, duties=DUTY_CYCLES, **config_overrides):
+def localization_sweep(seeds, duties=DUTY_CYCLES):
     """Detection reports for every (duty, seed) pair at trace scale."""
     rows = []
     for duty in duties:
         for seed in seeds:
-            cfg = trace_config(duty, seed, **config_overrides)
+            cfg = trace_config(duty, seed)
             _, report = analyze_traces(synth_traces(cfg), detect.METHOD_HOC, TRACE_WINDOW)
             rows.append((duty, seed, report))
     return rows
@@ -297,13 +283,13 @@ def _run_e2e(out_dir: Path, seeds) -> list[Path]:
 
     paths = [csv_path]
     digests = {}
+    first_reports = {duty: report for duty, seed, report in rows if seed == seeds[0]}
     for duty in DUTY_CYCLES:
-        cfg = trace_config(duty, seeds[0])
-        digests[_fmt(duty)] = config_digest(cfg)
-        _, report = analyze_traces(synth_traces(cfg), detect.METHOD_HOC, TRACE_WINDOW)
+        digests[_fmt(duty)] = config_digest(trace_config(duty, seeds[0]))
         report_path = out_dir / f"report_duty{int(round(duty * 100))}.json"
         io_formats.write_report_json(
-            report_path, report, window=TRACE_WINDOW, config_digest=digests[_fmt(duty)]
+            report_path, first_reports[duty], window=TRACE_WINDOW,
+            config_digest=digests[_fmt(duty)],
         )
         paths.append(report_path)
 
@@ -322,17 +308,20 @@ def _run_e2e(out_dir: Path, seeds) -> list[Path]:
     return paths
 
 
+# Each preset's runner and default seed list, in the order the CLI lists them.
+PRESETS = {
+    "fig1_asymmetry": (_run_fig1, tuple(range(50))),
+    "fig2a_length_sweep": (_run_fig2a, tuple(range(200))),
+    "fig2b_snr_sweep": (_run_fig2b, tuple(range(200))),
+    "e2e_localization": (_run_e2e, tuple(range(50))),
+}
+
+
 def run_preset(name: str, out_dir, seeds=None) -> list[Path]:
     """Run one named preset into out_dir; returns the paths written."""
-    if name not in PRESET_NAMES:
-        raise UnknownPresetError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise UnknownPresetError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    seed_list = PRESET_SEEDS[name] if seeds is None else tuple(seeds)
-    runner = {
-        "fig1_asymmetry": _run_fig1,
-        "fig2a_length_sweep": _run_fig2a,
-        "fig2b_snr_sweep": _run_fig2b,
-        "e2e_localization": _run_e2e,
-    }[name]
-    return runner(out_path, seed_list)
+    runner, default_seeds = PRESETS[name]
+    return runner(out_path, default_seeds if seeds is None else tuple(seeds))

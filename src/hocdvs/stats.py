@@ -21,10 +21,8 @@ from .errors import (
     EmptySequenceError,
     LagTooLargeError,
     LengthMismatchError,
-    NonPositiveNoiseError,
     NotCenteredError,
     PowerMismatchError,
-    ZeroSignalError,
 )
 
 # |mean| must stay below this times max(1, max|sample|) for centered data.
@@ -177,22 +175,6 @@ def third_cumulant_zero_lag(x: Sequence) -> float:
 def power(x: Sequence) -> float:
     """Mean square of the samples."""
     return float(np.mean(x.samples**2))
-
-
-def snr_db(p_signal: float, p_noise: float, *, strict: bool = False) -> float:
-    """10*log10(p_signal / p_noise).
-
-    Zero signal power yields -inf, or raises ZeroSignalError in strict mode.
-    """
-    if p_noise <= 0.0:
-        raise NonPositiveNoiseError(f"noise power must be > 0, got {p_noise!r}")
-    if p_signal < 0.0:
-        raise ZeroSignalError(f"signal power must be >= 0, got {p_signal!r}")
-    if p_signal == 0.0:
-        if strict:
-            raise ZeroSignalError("signal power is zero")
-        return float("-inf")
-    return 10.0 * math.log10(p_signal / p_noise)
 
 
 def snr2_db(mixed: Sequence, noise_ref: Sequence) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class SquareWaveSpec:
             raise ValueError(f"duty must be in (0, 1), got {self.duty!r}")
         if self.period_samples < 2:
             raise ValueError(f"period must be >= 2 samples, got {self.period_samples}")
+        if self.period_samples >= 2**63:
+            raise ValueError("period_samples must be < 2**63")
         if self.high_samples < 1:
             raise ValueError(
                 f"duty {self.duty} over period {self.period_samples} rounds "
@@ -117,14 +119,16 @@ class SimConfig:
         checks = [
             (self.fiber_points >= 1, "fiber_points must be >= 1"),
             (self.num_traces >= 1, "num_traces must be >= 1"),
+            # the trace-file header stores both as u32
+            (self.fiber_points < 2**32, "fiber_points must be < 2**32"),
+            (self.num_traces < 2**32, "num_traces must be < 2**32"),
             (self.pulse_width_points >= 1, "pulse_width_points must be >= 1"),
-            (
-                max(self.pulse_width_points, self.vibration.period_samples) < 2**63,
-                "pulse_width_points and vibration.period_samples must be < 2**63",
-            ),
+            (self.pulse_width_points < 2**63, "pulse_width_points must be < 2**63"),
             (_finite_positive(self.meters_per_point), "meters_per_point must be finite and > 0"),
             (
-                math.isfinite(self.meters_per_point * self.fiber_points),
+                # bounded first: a larger int may overflow the float product
+                1 <= self.fiber_points < 2**32
+                and math.isfinite(self.meters_per_point * self.fiber_points),
                 "fiber extent meters_per_point * fiber_points must be finite",
             ),
             (_finite_positive(self.trace_rate_hz), "trace_rate_hz must be finite and > 0"),
@@ -279,32 +283,19 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
 
 # --- plain-text config files ---------------------------------------------------
 
-_INT_KEYS = {
-    "fiber_points",
-    "num_traces",
-    "pulse_width_points",
-    "vibration_point",
-    "seed",
-    "vibration.period_samples",
-    "vibration.phase_samples",
+# Each config key with its field's annotation, "int" or "float": a
+# SquareWaveSpec field x is the key vibration.x.
+_KEY_TYPES = {
+    **{f.name: f.type for f in fields(SimConfig) if f.name != "vibration"},
+    **{f"vibration.{f.name}": f.type for f in fields(SquareWaveSpec)},
 }
-_FLOAT_KEYS = {
-    "meters_per_point",
-    "trace_rate_hz",
-    "vibration_depth",
-    "noise_sigma",
-    "sop_sigma",
-    "vibration.duty",
-    "vibration.amplitude",
-}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS
 
 # 640 digits: the lowest limit Python can put on int() of a decimal string
 _INT_RE = re.compile(r"[+-]?[0-9]{1,640}")
 
 
 def _parse_literal(key: str, literal: str):
-    if key in _INT_KEYS:
+    if _KEY_TYPES[key] == "int":
         if not _INT_RE.fullmatch(literal):
             raise BadConfigError(f"key '{key}' needs a decimal integer, got {literal!r}")
         return int(literal)
@@ -335,38 +326,27 @@ def parse_sim_config(text: str) -> SimConfig:
         key, _, literal = line.partition("=")
         key = key.strip()
         literal = literal.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _KEY_TYPES:
             raise BadConfigError(f"unknown key '{key}'")
         if key in values:
             raise BadConfigError(f"duplicate key '{key}'")
         values[key] = _parse_literal(key, literal)
 
-    missing = sorted(CONFIG_KEYS - values.keys())
+    missing = sorted(_KEY_TYPES.keys() - values.keys())
     if missing:
         raise BadConfigError(f"missing key(s): {', '.join(missing)}")
 
     try:
-        wave = SquareWaveSpec(
-            duty=values["vibration.duty"],
-            period_samples=values["vibration.period_samples"],
-            amplitude=values["vibration.amplitude"],
-            phase_samples=values["vibration.phase_samples"],
-        )
-        return SimConfig(
-            fiber_points=values["fiber_points"],
-            num_traces=values["num_traces"],
-            pulse_width_points=values["pulse_width_points"],
-            meters_per_point=values["meters_per_point"],
-            trace_rate_hz=values["trace_rate_hz"],
-            vibration_point=values["vibration_point"],
-            vibration=wave,
-            vibration_depth=values["vibration_depth"],
-            noise_sigma=values["noise_sigma"],
-            sop_sigma=values["sop_sigma"],
-            seed=values["seed"],
-        )
+        return _sim_config(values)
     except (ValueError, OverflowError) as exc:
         raise BadConfigError(str(exc)) from None
+
+
+def _sim_config(values: dict) -> SimConfig:
+    """SimConfig from flat keys; the SquareWaveSpec is built, and checked, first."""
+    wave = {k.partition(".")[2]: v for k, v in values.items() if k.startswith("vibration.")}
+    rest = {k: v for k, v in values.items() if not k.startswith("vibration.")}
+    return SimConfig(vibration=SquareWaveSpec(**wave), **rest)
 
 
 def load_sim_config(path) -> SimConfig:
@@ -381,18 +361,12 @@ def load_sim_config(path) -> SimConfig:
 
 def format_sim_config(cfg: SimConfig) -> str:
     """Canonical 'key = value' rendering; parse_sim_config round-trips it."""
-    flat: dict[str, float | int] = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, SquareWaveSpec):
-            for g in fields(value):
-                flat[f"{f.name}.{g.name}"] = getattr(value, g.name)
-        else:
-            flat[f.name] = value
+    flat = asdict(cfg)
+    flat.update({f"vibration.{k}": v for k, v in flat.pop("vibration").items()})
     lines = []
     for key in sorted(flat):
         value = flat[key]
-        if key in _INT_KEYS:
+        if _KEY_TYPES[key] == "int":
             rendered = str(value)
         else:
             rendered = repr(float(value))

@@ -301,11 +301,6 @@ class TestSpatialResolution:
         with pytest.raises(NoEdgeError):
             spatial_resolution(profile([1.0, 1.0, 1.0, 1.0]), peak_index=3)
 
-    def test_search_bound_respected(self):
-        values = np.concatenate([np.zeros(20), np.linspace(0.0, 1.0, 11)])
-        with pytest.raises(NoEdgeError):
-            spatial_resolution(profile(values), peak_index=30, max_search_points=3)
-
 
 class TestProfileProperties:
     def test_cubic_scale_equivariance(self):

@@ -14,7 +14,6 @@ from hocdvs import (
     joint_cumulant3,
     power,
     snr2_db,
-    snr_db,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
@@ -24,10 +23,8 @@ from hocdvs.errors import (
     EmptySequenceError,
     LagTooLargeError,
     LengthMismatchError,
-    NonPositiveNoiseError,
     NotCenteredError,
     PowerMismatchError,
-    ZeroSignalError,
 )
 from hocdvs.stats import mean_cube
 
@@ -195,36 +192,6 @@ class TestPower:
     )
     def test_examples(self, values, expected):
         assert power(seq(values)) == pytest.approx(expected, rel=1e-15)
-
-
-class TestSnrDb:
-    @pytest.mark.parametrize("p,expected", [((1, 1), 0.0), ((10, 1), 10.0)])
-    def test_round_numbers(self, p, expected):
-        assert snr_db(*p) == pytest.approx(expected, abs=1e-12)
-
-    def test_decade_fraction(self):
-        assert snr_db(2, 1) == pytest.approx(3.0102999566, abs=1e-9)
-
-    def test_nonpositive_noise(self):
-        with pytest.raises(NonPositiveNoiseError):
-            snr_db(1.0, 0.0)
-
-    def test_zero_signal_sentinel_and_strict(self):
-        assert snr_db(0.0, 1.0) == float("-inf")
-        with pytest.raises(ZeroSignalError):
-            snr_db(0.0, 1.0, strict=True)
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_equal_powers_are_zero_db(self, p):
-        assert snr_db(p, p) == pytest.approx(0.0, abs=1e-12)
-
-    @given(
-        st.floats(min_value=1e-6, max_value=1e6),
-        st.floats(min_value=1e-6, max_value=1e6),
-        st.floats(min_value=1.01, max_value=100.0),
-    )
-    def test_monotone_in_signal(self, p_signal, p_noise, factor):
-        assert snr_db(p_signal * factor, p_noise) > snr_db(p_signal, p_noise)
 
 
 class TestSnr2Db:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -261,6 +264,15 @@ class TestConfigFiles:
         b = config_digest(trace_config(0.2, seed=5))
         c = config_digest(trace_config(0.2, seed=6))
         assert a == b and a != c
+
+    def test_readme_shows_the_canonical_text_and_its_digest_is_pinned(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"renders the canonical form:\n\n```\n(.*?)```", readme, re.S)
+        cfg = trace_config(0.2, 0)
+        assert block.group(1) == format_sim_config(cfg)
+        assert config_digest(cfg) == (
+            "55423c367f4d772eb81b6f59ffa774de72e12f1aa94a6330ee7e77ad128f3569"
+        )
 
 
 class TestTraceMatrixInvariants:
