@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
 from . import detect, experiments, io_formats
-from .errors import BadConfigError, ConfigError, HocdvsError, NoDetectionError, PersistenceError
+from .errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
 from .synth import config_digest, load_sim_config, synth_traces
 
 EXIT_OK = 0
@@ -57,13 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_seed_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise BadConfigError(f"seed range must look like a..b, got {text!r}")
+        raise ConfigError(f"seed range must look like a..b, got {text!r}")
     try:
         start, stop = int(lo), int(hi)
     except ValueError:
-        raise BadConfigError(f"seed range must use integers, got {text!r}") from None
+        raise ConfigError(f"seed range must use integers, got {text!r}") from None
     if stop < start:
-        raise BadConfigError(f"empty seed range {text!r}")
+        raise ConfigError(f"empty seed range {text!r}")
+    if start < 0:
+        raise ConfigError(f"seeds must be >= 0, got {text!r}")
+    if stop - start >= sys.maxsize:
+        raise ConfigError(f"seed range {text!r} holds more than {sys.maxsize} seeds")
     return range(start, stop + 1)
 
 
@@ -87,6 +92,8 @@ def cmd_analyze(
     guard: int = experiments.TRACE_GUARD,
     min_snr_db: float | None = None,
 ) -> int:
+    if min_snr_db is not None and math.isnan(min_snr_db):
+        raise ConfigError("--min-snr-db must be a number, got nan")
     method = detect.METHOD_ALIASES[method_alias]
     digest_src = hashlib.sha256()
     traces = io_formats.read_traces(trace_path, digest=digest_src)

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadAverageLengthError,
-    BadGuardError,
-    NoEdgeError,
-    NoPeakError,
-    TooFewTracesError,
-    WindowExceedsTracesError,
-    WindowTooSmallError,
-    ZeroBackgroundError,
-)
+from .errors import ConfigError, NoDetectionError, NoEdgeError
 from .stats import _freeze, mean_cube_axis0
 from .synth import TraceMatrix
 
@@ -94,7 +85,7 @@ class DetectionReport:
 def detrend(traces: TraceMatrix) -> TraceMatrix:
     """Subtract each fiber point's mean over all traces, in float64."""
     if traces.num_traces < 2:
-        raise TooFewTracesError("detrending needs at least two traces")
+        raise ConfigError("detrending needs at least two traces")
     amps = np.asarray(traces.amplitudes, dtype=np.float64)
     residuals = amps - amps.mean(axis=0, keepdims=True)
     residuals.setflags(write=False)  # hand the fresh matrix over without a copy
@@ -108,9 +99,9 @@ def detrend(traces: TraceMatrix) -> TraceMatrix:
 
 def _check_window(traces: TraceMatrix, window: int) -> None:
     if window < 2:
-        raise WindowTooSmallError(f"window must be >= 2 traces, got {window}")
+        raise ConfigError(f"window must be >= 2 traces, got {window}")
     if window > traces.num_traces:
-        raise WindowExceedsTracesError(
+        raise ConfigError(
             f"window {window} exceeds {traces.num_traces} traces"
         )
 
@@ -149,10 +140,10 @@ def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> Ho
     """
     _check_window(traces, window)
     if not 1 <= avg_len <= window:
-        raise BadAverageLengthError(f"avg_len must be in [1, {window}], got {avg_len}")
+        raise ConfigError(f"avg_len must be in [1, {window}], got {avg_len}")
     blocks = window // avg_len
     if blocks < 2:
-        raise BadAverageLengthError(
+        raise ConfigError(
             f"avg_len {avg_len} leaves {blocks} block(s); need at least 2"
         )
     m = traces.fiber_points
@@ -167,11 +158,11 @@ def locate_peak(profile: HocProfile) -> tuple[int, float]:
     vals = profile.values
     finite = np.isfinite(vals)
     if not finite.any():
-        raise NoPeakError("profile has no finite values")
+        raise NoDetectionError("profile has no finite values")
     mags = np.where(finite, np.abs(vals), -np.inf)
     idx = int(np.argmax(mags))
     if mags[idx] == 0.0:
-        raise NoPeakError("profile is identically zero")
+        raise NoDetectionError("profile is identically zero")
     return idx, idx * profile.meters_per_point
 
 
@@ -187,16 +178,16 @@ def location_snr(profile: HocProfile, peak_index: int, guard: int) -> float:
     if not 0 <= peak_index < m:
         raise ValueError(f"peak_index {peak_index} outside profile of {m} points")
     if guard < 0:
-        raise BadGuardError(f"guard must be >= 0, got {guard}")
+        raise ConfigError(f"guard must be >= 0, got {guard}")
     background = vals[np.abs(np.arange(m) - peak_index) > guard]
     if background.size == 0:
-        raise BadGuardError(f"guard {guard} leaves no background samples")
+        raise ConfigError(f"guard {guard} leaves no background samples")
     bg_power = float(np.mean(background**2))
     if bg_power == 0.0:
-        raise ZeroBackgroundError("background is exactly zero")
+        raise NoDetectionError("background is exactly zero")
     peak_val = float(vals[peak_index])
     if peak_val == 0.0:
-        raise NoPeakError("value at peak_index is zero")
+        raise NoDetectionError("value at peak_index is zero")
     ratio = peak_val**2 / bg_power
     if 0.0 < ratio < math.inf:
         return 10.0 * math.log10(ratio)

@@ -1,11 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists only if it sets a CLI exit code or some code in the
+package catches it by class. Every other failure raises its category,
+and its message says which condition failed.
+"""
 
 
 class HocdvsError(Exception):
-    """Base class for all package-specific errors.
+    """Base class for all package-specific errors, and the library's own
+    error: exit 1.
 
     The CLI exits with `exit_code` and prefixes stderr with `label`; the
-    three categories below set both for their subclasses.
+    three categories below set their own.
     """
 
     exit_code = 1
@@ -33,107 +39,15 @@ class PersistenceError(HocdvsError):
     label = "i/o error"
 
 
-# --- sequence / estimator errors ---------------------------------------------
-
-class EmptySequenceError(HocdvsError):
-    """A sample sequence with zero length was supplied."""
-
-
-class LengthMismatchError(HocdvsError):
-    """Sequences that must share a length do not."""
-
-
-class NotCenteredError(HocdvsError):
-    """An operation requiring zero-mean input received uncentered data."""
-
-
-class LagTooLargeError(HocdvsError):
-    """A requested lag is not smaller than the sequence length."""
-
-
-class ZeroSignalError(HocdvsError):
-    """Signal power is zero where a positive power is required."""
-
-
-class PowerMismatchError(HocdvsError):
-    """Two sequences that must be power-matched differ by more than 1%."""
-
-
 class DegenerateNoiseReferenceError(HocdvsError):
-    """The noise reference is too symmetric for a stable cumulant ratio."""
+    """The noise reference is too symmetric for a stable cumulant ratio.
 
-
-class BadRangeError(HocdvsError):
-    """Invalid histogram range or bin count."""
-
-
-# --- synthesis errors ---------------------------------------------------------
-
-class EmptyRequestError(HocdvsError):
-    """A generator was asked for zero samples."""
-
-
-class BadIntervalError(HocdvsError):
-    """An asymmetry interval is empty or outside the truncation window."""
-
-
-class BadConfigError(ConfigError):
-    """A simulation config is invalid, incomplete, or unparseable."""
-
-
-# --- detection errors ---------------------------------------------------------
-
-class TooFewTracesError(ConfigError):
-    """At least two traces are needed to remove the static trend."""
-
-
-class WindowExceedsTracesError(ConfigError):
-    """The requested window is larger than the number of traces."""
-
-
-class WindowTooSmallError(ConfigError):
-    """The requested window holds fewer than two traces."""
-
-
-class BadAverageLengthError(ConfigError):
-    """Block-average length does not leave at least two blocks to difference."""
-
-
-class NoPeakError(NoDetectionError):
-    """The profile contains no usable peak (all zero or non-finite)."""
-
-
-class BadGuardError(ConfigError):
-    """The guard band leaves no background samples."""
-
-
-class ZeroBackgroundError(NoDetectionError):
-    """Background power is exactly zero; the SNR ratio is undefined."""
+    experiments.snr2_sample catches it to redraw the reference.
+    """
 
 
 class NoEdgeError(HocdvsError):
-    """No rising edge with both 10% and 90% crossings was found."""
+    """No rising edge with both 10% and 90% crossings was found.
 
-
-# --- persistence errors -------------------------------------------------------
-
-class IoError(PersistenceError):
-    """An underlying file operation failed; message carries the path."""
-
-
-class NotATraceFileError(PersistenceError):
-    """The file does not start with the trace-file magic tag."""
-
-
-class CorruptHeaderError(PersistenceError):
-    """Trace-file header fields are inconsistent with the payload."""
-
-
-class TruncatedPayloadError(PersistenceError):
-    """The file ends before the advertised payload is complete."""
-
-
-# --- experiment runner errors --------------------------------------------------
-
-class UnknownPresetError(ConfigError):
-    """The requested experiment preset name is not recognized."""
+    experiments.analyze_traces catches it to report no resolution.
+    """

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detect, io_formats
-from .errors import DegenerateNoiseReferenceError, NoEdgeError, UnknownPresetError
+from .errors import ConfigError, DegenerateNoiseReferenceError, NoEdgeError
 from .stats import Sequence, center, mean_cube, power, snr2_db
 from .synth import (
     AsymmetrySpec,
@@ -320,7 +320,7 @@ PRESETS = {
 def run_preset(name: str, out_dir, seeds=None) -> list[Path]:
     """Run one named preset into out_dir; returns the paths written."""
     if name not in PRESETS:
-        raise UnknownPresetError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
+        raise ConfigError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     runner, default_seeds = PRESETS[name]

@@ -26,12 +26,7 @@ import struct
 import numpy as np
 
 from .detect import DetectionReport, HocProfile
-from .errors import (
-    CorruptHeaderError,
-    IoError,
-    NotATraceFileError,
-    TruncatedPayloadError,
-)
+from .errors import PersistenceError
 from .synth import PROVENANCE_RECORDED, PROVENANCE_SYNTHETIC, TraceMatrix
 
 MAGIC = b"HOCDVS01"
@@ -62,7 +57,7 @@ def write_traces(path, traces: TraceMatrix) -> None:
             fh.write(header)
             fh.write(payload)
     except OSError as exc:
-        raise IoError(f"cannot write traces to {path}: {exc}") from exc
+        raise PersistenceError(f"cannot write traces to {path}: {exc}") from exc
 
 
 def read_traces(path, digest=None) -> TraceMatrix:
@@ -88,7 +83,7 @@ def read_traces(path, digest=None) -> TraceMatrix:
                 done += got
             _check_payload_size(done + len(fh.read(1)), expected, path)
     except OSError as exc:
-        raise IoError(f"cannot read traces from {path}: {exc}") from exc
+        raise PersistenceError(f"cannot read traces from {path}: {exc}") from exc
     if digest is not None:
         digest.update(header)
         digest.update(payload)
@@ -101,33 +96,33 @@ def read_traces(path, digest=None) -> TraceMatrix:
             provenance=_PROVENANCE_NAMES[prov_code],
         )
     except ValueError as exc:
-        raise CorruptHeaderError(f"{path}: {exc}") from exc
+        raise PersistenceError(f"{path}: {exc}") from exc
 
 
 def _parse_header(header: bytes, source):
     if len(header) < len(MAGIC) or header[: len(MAGIC)] != MAGIC:
-        raise NotATraceFileError(f"{source} does not start with the trace-file magic")
+        raise PersistenceError(f"{source} does not start with the trace-file magic")
     if len(header) < HEADER_SIZE:
-        raise TruncatedPayloadError(f"{source} ends inside the header")
+        raise PersistenceError(f"{source} ends inside the header")
     _, version, num_traces, fiber_points, mpp, rate, prov_code = _HEADER.unpack(header)
     if version != VERSION:
-        raise CorruptHeaderError(f"unsupported version {version}")
+        raise PersistenceError(f"unsupported version {version}")
     if num_traces < 1 or fiber_points < 1:
-        raise CorruptHeaderError(
+        raise PersistenceError(
             f"bad dimensions {num_traces} x {fiber_points} in header"
         )
     if prov_code not in _PROVENANCE_NAMES:
-        raise CorruptHeaderError(f"unknown provenance code {prov_code}")
+        raise PersistenceError(f"unknown provenance code {prov_code}")
     return (num_traces, fiber_points), mpp, rate, prov_code
 
 
 def _check_payload_size(payload_size: int, expected: int, source) -> None:
     if payload_size < expected:
-        raise TruncatedPayloadError(
+        raise PersistenceError(
             f"{source}: payload is {payload_size} bytes, header promises {expected}"
         )
     if payload_size > expected:
-        raise CorruptHeaderError(
+        raise PersistenceError(
             f"{source}: payload is {payload_size} bytes, header promises {expected}"
         )
 
@@ -144,7 +139,7 @@ def export_profile_csv(profile: HocProfile, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IoError(f"cannot write profile to {path}: {exc}") from exc
+        raise PersistenceError(f"cannot write profile to {path}: {exc}") from exc
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -153,15 +148,18 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise IoError(f"cannot read profile from {path}: {exc}") from exc
+        raise PersistenceError(f"cannot read profile from {path}: {exc}") from exc
     if not lines or lines[0] != "position_m,value":
-        raise IoError(f"{path} is not a profile CSV")
+        raise PersistenceError(f"{path} is not a profile CSV")
     positions = np.empty(len(lines) - 1)
     values = np.empty(len(lines) - 1)
     for i, line in enumerate(lines[1:]):
         pos_text, _, val_text = line.partition(",")
-        positions[i] = float(pos_text)
-        values[i] = float(val_text)
+        try:
+            positions[i] = float(pos_text)
+            values[i] = float(val_text)
+        except ValueError:
+            raise PersistenceError(f"{path}: line {i + 2} is not a row: {line!r}") from None
     return positions, values
 
 
@@ -181,4 +179,4 @@ def write_report_json(path, report: DetectionReport, *, window: int, config_dige
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
     except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+        raise PersistenceError(f"cannot write report to {path}: {exc}") from exc

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadRangeError,
-    DegenerateNoiseReferenceError,
-    EmptySequenceError,
-    LagTooLargeError,
-    LengthMismatchError,
-    NotCenteredError,
-    PowerMismatchError,
-)
+from .errors import DegenerateNoiseReferenceError, HocdvsError
 
 # |mean| must stay below this times max(1, max|sample|) for centered data.
 CENTER_TOL = 1e-12
@@ -54,12 +46,12 @@ class Sequence:
         if arr.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
-            raise EmptySequenceError("sequence must contain at least one sample")
+            raise HocdvsError("sequence must contain at least one sample")
         if self.centered:
             scale = max(1.0, float(np.max(np.abs(arr))))
             mean = float(arr.mean())
             if abs(mean) > CENTER_TOL * scale:
-                raise NotCenteredError(
+                raise HocdvsError(
                     f"sequence flagged centered but mean is {mean:.3e}"
                 )
         object.__setattr__(self, "samples", _freeze(arr, self.samples))
@@ -113,7 +105,7 @@ def center(x: Sequence) -> Sequence:
 def _require_centered(*seqs: Sequence) -> None:
     for i, s in enumerate(seqs):
         if not s.centered:
-            raise NotCenteredError(f"argument {i + 1} is not centered")
+            raise HocdvsError(f"argument {i + 1} is not centered")
 
 
 def joint_cumulant3(x1: Sequence, x2: Sequence, x3: Sequence) -> float:
@@ -121,7 +113,7 @@ def joint_cumulant3(x1: Sequence, x2: Sequence, x3: Sequence) -> float:
     _require_centered(x1, x2, x3)
     n = len(x1)
     if len(x2) != n or len(x3) != n:
-        raise LengthMismatchError(
+        raise HocdvsError(
             f"lengths differ: {n}, {len(x2)}, {len(x3)}"
         )
     return float(np.mean(x1.samples * x2.samples * x3.samples))
@@ -138,7 +130,7 @@ def third_cumulant_lagged(x: Sequence, req: LaggedCumulantRequest) -> float:
     n = len(x)
     lag = max(req.tau1, req.tau2)
     if lag >= n:
-        raise LagTooLargeError(f"lag {lag} >= sequence length {n}")
+        raise HocdvsError(f"lag {lag} >= sequence length {n}")
     n_eff = n - lag
     s = x.samples
     prod = s[:n_eff] * s[req.tau1 : req.tau1 + n_eff] * s[req.tau2 : req.tau2 + n_eff]
@@ -189,7 +181,7 @@ def snr2_db(mixed: Sequence, noise_ref: Sequence) -> float:
     p_mixed = power(mixed)
     p_noise = power(noise_ref)
     if abs(p_mixed - p_noise) > 0.01 * max(p_mixed, p_noise):
-        raise PowerMismatchError(
+        raise HocdvsError(
             f"powers differ by more than 1%: {p_mixed:.6g} vs {p_noise:.6g}"
         )
     c3_noise = third_cumulant_zero_lag(noise_ref)
@@ -211,9 +203,9 @@ def histogram(x: Sequence, bins: int, lo: float, hi: float) -> Histogram:
     the range do not enter any bin but are reported in out_of_range.
     """
     if bins < 1:
-        raise BadRangeError(f"need at least one bin, got {bins}")
+        raise HocdvsError(f"need at least one bin, got {bins}")
     if not lo < hi:
-        raise BadRangeError(f"invalid range [{lo!r}, {hi!r}]")
+        raise HocdvsError(f"invalid range [{lo!r}, {hi!r}]")
     counts, edges = np.histogram(x.samples, bins=bins, range=(lo, hi))
     total = len(x)
     return Histogram(

@@ -30,13 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    BadConfigError,
-    BadIntervalError,
-    EmptyRequestError,
-    IoError,
-    ZeroSignalError,
-)
+from .errors import ConfigError, HocdvsError, PersistenceError
 from .stats import Sequence, _freeze, power
 
 # Domain of the truncated standard normal; about 0.054% of raw draws fall
@@ -62,11 +56,11 @@ class AsymmetrySpec:
 
     def __post_init__(self) -> None:
         if not self.interval_lo < self.interval_hi:
-            raise BadIntervalError(
+            raise HocdvsError(
                 f"empty interval [{self.interval_lo!r}, {self.interval_hi!r})"
             )
         if self.interval_lo < -TRUNCATION_LIMIT or self.interval_hi > TRUNCATION_LIMIT:
-            raise BadIntervalError(
+            raise HocdvsError(
                 f"interval [{self.interval_lo}, {self.interval_hi}) exceeds "
                 f"the truncation window [-{TRUNCATION_LIMIT}, {TRUNCATION_LIMIT}]"
             )
@@ -122,6 +116,11 @@ class SimConfig:
             # the trace-file header stores both as u32
             (self.fiber_points < 2**32, "fiber_points must be < 2**32"),
             (self.num_traces < 2**32, "num_traces must be < 2**32"),
+            (
+                8 * self.fiber_points * self.num_traces <= np.iinfo(np.intp).max,
+                "fiber_points * num_traces is too large: the float64 trace matrix "
+                "exceeds numpy's addressable size",
+            ),
             (self.pulse_width_points >= 1, "pulse_width_points must be >= 1"),
             (self.pulse_width_points < 2**63, "pulse_width_points must be < 2**63"),
             (_finite_positive(self.meters_per_point), "meters_per_point must be finite and > 0"),
@@ -143,7 +142,7 @@ class SimConfig:
         ]
         for ok, message in checks:
             if not ok:
-                raise BadConfigError(message)
+                raise ConfigError(message)
 
 
 _AMPLITUDE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -196,7 +195,7 @@ class TraceMatrix:
 def gen_truncated_gaussian(n: int, seed: int) -> Sequence:
     """n standard-normal draws, rejection-resampled into the truncation window."""
     if n < 1:
-        raise EmptyRequestError(f"need at least one sample, got {n}")
+        raise HocdvsError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     filled = 0
@@ -237,7 +236,7 @@ def mix_at_snr1(signal: Sequence, snr1_db: float, seed: int) -> Sequence:
     """
     p_signal = power(signal)
     if p_signal == 0.0:
-        raise ZeroSignalError("cannot set an SNR against a zero-power signal")
+        raise HocdvsError("cannot set an SNR against a zero-power signal")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(len(signal))
     p_raw = float(np.mean(noise**2))
@@ -271,7 +270,7 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
         amplitudes = sop[:, None] * clean + noise
     # NaN fails both comparisons, as does anything a trace file cannot store
     if not (-_FLOAT32_MAX <= amplitudes.min() and amplitudes.max() <= _FLOAT32_MAX):
-        raise BadConfigError("config drives amplitudes beyond the float32 range of trace files")
+        raise ConfigError("config drives amplitudes beyond the float32 range of trace files")
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=amplitudes,
@@ -297,16 +296,16 @@ _INT_RE = re.compile(r"[+-]?[0-9]{1,640}")
 def _parse_literal(key: str, literal: str):
     if _KEY_TYPES[key] == "int":
         if not _INT_RE.fullmatch(literal):
-            raise BadConfigError(f"key '{key}' needs a decimal integer, got {literal!r}")
+            raise ConfigError(f"key '{key}' needs a decimal integer, got {literal!r}")
         return int(literal)
     if "." not in literal:
-        raise BadConfigError(f"key '{key}' needs a real with a decimal point, got {literal!r}")
+        raise ConfigError(f"key '{key}' needs a real with a decimal point, got {literal!r}")
     try:
         value = float(literal)
     except ValueError:
-        raise BadConfigError(f"key '{key}' has unparseable value {literal!r}") from None
+        raise ConfigError(f"key '{key}' has unparseable value {literal!r}") from None
     if not math.isfinite(value):
-        raise BadConfigError(f"key '{key}' needs a finite value, got {literal!r}")
+        raise ConfigError(f"key '{key}' needs a finite value, got {literal!r}")
     return value
 
 
@@ -322,24 +321,24 @@ def parse_sim_config(text: str) -> SimConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise BadConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, literal = line.partition("=")
         key = key.strip()
         literal = literal.strip()
         if key not in _KEY_TYPES:
-            raise BadConfigError(f"unknown key '{key}'")
+            raise ConfigError(f"unknown key '{key}'")
         if key in values:
-            raise BadConfigError(f"duplicate key '{key}'")
+            raise ConfigError(f"duplicate key '{key}'")
         values[key] = _parse_literal(key, literal)
 
     missing = sorted(_KEY_TYPES.keys() - values.keys())
     if missing:
-        raise BadConfigError(f"missing key(s): {', '.join(missing)}")
+        raise ConfigError(f"missing key(s): {', '.join(missing)}")
 
     try:
         return _sim_config(values)
     except (ValueError, OverflowError) as exc:
-        raise BadConfigError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
 
 
 def _sim_config(values: dict) -> SimConfig:
@@ -355,7 +354,9 @@ def load_sim_config(path) -> SimConfig:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
+        raise PersistenceError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     return parse_sim_config(text)
 
 

@@ -19,16 +19,7 @@ from hocdvs import (
     synth_traces,
     third_cumulant_zero_lag,
 )
-from hocdvs.errors import (
-    BadAverageLengthError,
-    BadGuardError,
-    NoEdgeError,
-    NoPeakError,
-    TooFewTracesError,
-    WindowExceedsTracesError,
-    WindowTooSmallError,
-    ZeroBackgroundError,
-)
+from hocdvs.errors import ConfigError, NoDetectionError, NoEdgeError
 from hocdvs.detect import HOC_BLOCK_POINTS
 from hocdvs.experiments import TRACE_WINDOW, analyze_traces, trace_config
 
@@ -58,7 +49,7 @@ class TestDetrend:
         assert float(np.max(np.abs(out.amplitudes))) <= 1e-12 * scale
 
     def test_too_few_traces(self):
-        with pytest.raises(TooFewTracesError):
+        with pytest.raises(ConfigError, match="detrending needs at least two traces"):
             detrend(matrix([[1.0, 2.0]]))
 
     def test_metadata_preserved(self):
@@ -126,11 +117,11 @@ class TestHocProfile:
         assert float(np.max(np.abs(got - centred_on_window))) > 1e-3 * float(np.max(np.abs(ref)))
 
     def test_window_exceeds_traces(self):
-        with pytest.raises(WindowExceedsTracesError):
+        with pytest.raises(ConfigError, match="window 6 exceeds 5 traces"):
             hoc_profile(matrix(np.zeros((5, 3))), window=6)
 
     def test_window_below_two_rejected(self):
-        with pytest.raises(WindowTooSmallError):
+        with pytest.raises(ConfigError, match="window must be >= 2 traces, got 1"):
             hoc_profile(matrix(np.zeros((5, 3))), window=1)
 
     @pytest.mark.parametrize("window", [1, 0, -5])
@@ -144,7 +135,7 @@ class TestHocProfile:
         ids=["hoc", "mdiff", "mavg"],
     )
     def test_every_method_rejects_window_below_two(self, make_profile, window):
-        with pytest.raises(WindowTooSmallError):
+        with pytest.raises(ConfigError, match=f"window must be >= 2 traces, got {window}$"):
             make_profile(matrix(np.zeros((5, 3))), window)
 
     @pytest.mark.parametrize("window", [40, 25])
@@ -225,10 +216,17 @@ class TestMovingAverage:
             idx5, _ = locate_peak(moving_average_profile(traces, TRACE_WINDOW, 5))
             assert idx1 == idx5
 
-    @pytest.mark.parametrize("avg_len", [0, 31, 20])
-    def test_bad_average_length(self, avg_len):
+    @pytest.mark.parametrize(
+        "avg_len, reason",
+        [
+            pytest.param(0, r"avg_len must be in \[1, 30\], got 0", id="0"),
+            pytest.param(31, r"avg_len must be in \[1, 30\], got 31", id="31"),
+            pytest.param(20, r"avg_len 20 leaves 1 block\(s\); need at least 2", id="20"),
+        ],
+    )
+    def test_bad_average_length(self, avg_len, reason):
         traces = matrix(np.zeros((30, 3)))
-        with pytest.raises(BadAverageLengthError):
+        with pytest.raises(ConfigError, match=reason):
             moving_average_profile(traces, window=30, avg_len=avg_len)
 
 
@@ -247,12 +245,12 @@ class TestLocatePeak:
         assert (idx, pos) == (2, 4.0)
 
     def test_all_zero_raises(self):
-        with pytest.raises(NoPeakError):
+        with pytest.raises(NoDetectionError, match="profile is identically zero"):
             locate_peak(profile([0.0, 0.0, 0.0]))
 
     def test_non_finite_ignored(self):
         assert locate_peak(profile([np.nan, 2.0, 1.0]))[0] == 1
-        with pytest.raises(NoPeakError):
+        with pytest.raises(NoDetectionError, match="profile has no finite values"):
             locate_peak(profile([np.nan, np.inf]))
 
 
@@ -262,11 +260,11 @@ class TestLocationSnr:
         assert got == pytest.approx(10.0 * np.log10(9.0), abs=1e-12)
 
     def test_zero_background(self):
-        with pytest.raises(ZeroBackgroundError):
+        with pytest.raises(NoDetectionError, match="background is exactly zero"):
             location_snr(profile([1.0, 0.0, 0.0, 0.0]), peak_index=0, guard=1)
 
     def test_guard_leaving_no_background(self):
-        with pytest.raises(BadGuardError):
+        with pytest.raises(ConfigError, match="guard 5 leaves no background samples"):
             location_snr(profile([1.0, 2.0, 3.0]), peak_index=1, guard=5)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hocdvs.errors import UnknownPresetError
+from hocdvs.errors import ConfigError
 from hocdvs.experiments import (
     ASYMMETRY_INTERVALS,
     DUTY_CYCLES,
@@ -70,7 +70,7 @@ def test_localization_sweep_rows():
 
 
 def test_unknown_preset():
-    with pytest.raises(UnknownPresetError):
+    with pytest.raises(ConfigError, match="unknown preset 'fig3_mystery'"):
         run_preset("fig3_mystery", "/tmp/never")
 
 

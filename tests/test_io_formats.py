@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -19,12 +20,7 @@ from hocdvs import (
     write_traces,
 )
 from hocdvs.detect import METHOD_HOC, METHOD_MOVING_DIFFERENTIAL
-from hocdvs.errors import (
-    CorruptHeaderError,
-    IoError,
-    NotATraceFileError,
-    TruncatedPayloadError,
-)
+from hocdvs.errors import PersistenceError
 from hocdvs.io_formats import HEADER_SIZE, MAGIC
 
 F32_EPS = float(np.finfo(np.float32).eps)
@@ -68,13 +64,13 @@ class TestTraceFile:
         write_traces(path, small_matrix([[1, 2, 3], [4, 5, 6]]))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(PersistenceError, match="payload is 19 bytes, header promises 24"):
             read_traces(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.hocdvs"
         path.write_bytes(MAGIC + b"\x01\x00")
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(PersistenceError, match="ends inside the header"):
             read_traces(path)
 
     def test_bad_magic(self, tmp_path):
@@ -83,7 +79,7 @@ class TestTraceFile:
         blob = bytearray(path.read_bytes())
         blob[:8] = b"NOTMAGIC"
         path.write_bytes(bytes(blob))
-        with pytest.raises(NotATraceFileError):
+        with pytest.raises(PersistenceError, match="does not start with the trace-file magic"):
             read_traces(path)
 
     def test_dimension_mismatch(self, tmp_path):
@@ -93,11 +89,11 @@ class TestTraceFile:
         # claim 3 traces while the payload holds 2
         blob[8 + 4 : 8 + 8] = struct.pack("<I", 3)
         path.write_bytes(bytes(blob))
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(PersistenceError, match="payload is 24 bytes, header promises 36"):
             read_traces(path)
         blob[8 + 4 : 8 + 8] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(PersistenceError, match="payload is 24 bytes, header promises 12"):
             read_traces(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -106,7 +102,7 @@ class TestTraceFile:
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", 9)
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(PersistenceError, match="unsupported version 9"):
             read_traces(path)
 
     @pytest.mark.parametrize("offset", [20, 28], ids=["meters_per_point", "trace_rate_hz"])
@@ -117,7 +113,8 @@ class TestTraceFile:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<d", blob, offset, value)
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(PersistenceError,
+                           match="meters_per_point and trace_rate_hz must be finite and > 0"):
             read_traces(path)
 
     def test_payload_is_float32_and_digest_sees_every_byte(self, tmp_path):
@@ -133,7 +130,8 @@ class TestTraceFile:
         path.write_bytes(struct.pack("<8sIIIddB", MAGIC, 1, 65535, 65535, 1.0, 1.0, 0))
         tracemalloc.start()
         try:
-            with pytest.raises(TruncatedPayloadError, match="payload is 0 bytes"):
+            with pytest.raises(PersistenceError,
+                               match="payload is 0 bytes, header promises 17179344900"):
                 read_traces(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -141,7 +139,7 @@ class TestTraceFile:
         assert peak < 1_000_000  # the promised payload is 17 GB
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoError):
+        with pytest.raises(PersistenceError, match="cannot read traces from .*absent.hocdvs"):
             read_traces(tmp_path / "absent.hocdvs")
 
     @given(
@@ -192,6 +190,13 @@ class TestProfileCsv:
         path = tmp_path / "p.csv"
         export_profile_csv(prof, path)
         assert path.read_text().splitlines()[0] == "position_m,value"
+
+    @pytest.mark.parametrize("row", ["0,abc", "1.0", "x,2.5"])
+    def test_unparseable_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        path.write_text(f"position_m,value\n0,1.5\n{row}\n")
+        with pytest.raises(PersistenceError, match=re.escape(f"{path}: line 3 ")):
+            read_profile_csv(path)
 
 
 class TestReportJson:
