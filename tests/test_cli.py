@@ -10,10 +10,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hocdvs import cli, errors
+from hocdvs import (
+    AsymmetrySpec,
+    METHOD_HOC,
+    HocProfile,
+    LaggedCumulantRequest,
+    Sequence,
+    cli,
+    detrend,
+    errors,
+    gen_truncated_gaussian,
+    histogram,
+    hoc_profile,
+    joint_cumulant3,
+    locate_peak,
+    location_snr,
+    mix_at_snr1,
+    moving_average_profile,
+    snr2_db,
+    third_cumulant_lagged,
+    third_cumulant_zero_lag,
+)
 from hocdvs.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_DETECTION, EXIT_OK, main
-from hocdvs.errors import ConfigError, HocdvsError
-from hocdvs.experiments import PRESETS, trace_config
+from hocdvs.errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
+from hocdvs.experiments import PRESETS, run_preset, trace_config
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, read_traces, write_traces
 from hocdvs.synth import (
     SimConfig,
@@ -390,16 +410,103 @@ def test_exit_code_table_covers_every_error_class():
     assert found == EXIT_TABLE
 
 
-@pytest.mark.parametrize("name", sorted(EXIT_TABLE))
+def _centered(values):
+    return Sequence(np.asarray(values, dtype=float), centered=True)
+
+
+def _zeros(traces, points):
+    return TraceMatrix(np.zeros((traces, points)), 1.0, 1.0)
+
+
+def _profile(values):
+    return HocProfile(np.asarray(values, dtype=float), 100, 1.0, METHOD_HOC)
+
+
+def _read_edited_trace_file(tmp_path, edit):
+    path = tmp_path / "t.hocdvs"
+    write_traces(path, _zeros(2, 3))
+    path.write_bytes(edit(path.read_bytes()))
+    read_traces(path)
+
+
+# Conditions that once had an exception class of their own, keyed by that
+# former class name: (a call that meets the condition, the category it now
+# raises, a message fragment naming the condition). Each keeps the exit code
+# and stderr label it had.
+CONDITIONS = {
+    "EmptySequenceError": (lambda tmp: Sequence(np.empty(0)),
+                           HocdvsError, "at least one sample"),
+    "LengthMismatchError": (lambda tmp: joint_cumulant3(_centered([1, -1]), _centered([1, -1]),
+                                                        _centered([1, 0, -1])),
+                            HocdvsError, "lengths differ: 2, 2, 3"),
+    "NotCenteredError": (lambda tmp: third_cumulant_zero_lag(Sequence(np.array([1.0, 2.0]))),
+                         HocdvsError, "argument 1 is not centered"),
+    "LagTooLargeError": (lambda tmp: third_cumulant_lagged(_centered([1, -1]),
+                                                           LaggedCumulantRequest(2, 0)),
+                         HocdvsError, "lag 2 >= sequence length 2"),
+    "ZeroSignalError": (lambda tmp: mix_at_snr1(Sequence(np.zeros(10)), 0.0, seed=0),
+                        HocdvsError, "zero-power signal"),
+    "PowerMismatchError": (lambda tmp: snr2_db(_centered([1, -1]), _centered([3, -3])),
+                           HocdvsError, "powers differ by more than 1%"),
+    "BadRangeError": (lambda tmp: histogram(Sequence(np.ones(1)), 0, 0.0, 1.0),
+                      HocdvsError, "need at least one bin"),
+    "EmptyRequestError": (lambda tmp: gen_truncated_gaussian(0, seed=0),
+                          HocdvsError, "need at least one sample, got 0"),
+    "BadIntervalError": (lambda tmp: AsymmetrySpec(-1.0, -2.0), HocdvsError, "empty interval"),
+    "BadConfigError": (lambda tmp: parse_sim_config("mystery = 1\n"),
+                       ConfigError, "unknown key 'mystery'"),
+    "UnknownPresetError": (lambda tmp: run_preset("fig3_mystery", tmp),
+                           ConfigError, "unknown preset 'fig3_mystery'"),
+    "TooFewTracesError": (lambda tmp: detrend(_zeros(1, 2)),
+                          ConfigError, "detrending needs at least two traces"),
+    "WindowExceedsTracesError": (lambda tmp: hoc_profile(_zeros(5, 3), window=6),
+                                 ConfigError, "window 6 exceeds 5 traces"),
+    "WindowTooSmallError": (lambda tmp: hoc_profile(_zeros(5, 3), window=1),
+                            ConfigError, "window must be >= 2 traces, got 1"),
+    "BadAverageLengthError": (lambda tmp: moving_average_profile(_zeros(30, 3), window=30,
+                                                                 avg_len=0),
+                              ConfigError, "avg_len must be in"),
+    "BadGuardError": (lambda tmp: location_snr(_profile([1.0, 2.0, 3.0]), peak_index=1, guard=-1),
+                      ConfigError, "guard must be >= 0, got -1"),
+    "NoPeakError": (lambda tmp: locate_peak(_profile([0.0, 0.0, 0.0])),
+                    NoDetectionError, "profile is identically zero"),
+    "ZeroBackgroundError": (lambda tmp: location_snr(_profile([1.0, 0.0, 0.0, 0.0]),
+                                                     peak_index=0, guard=1),
+                            NoDetectionError, "background is exactly zero"),
+    "IoError": (lambda tmp: read_traces(tmp / "absent.hocdvs"),
+                PersistenceError, "cannot read traces from"),
+    "NotATraceFileError": (lambda tmp: _read_edited_trace_file(tmp, lambda b: b"NOTMAGIC" + b[8:]),
+                           PersistenceError, "does not start with the trace-file magic"),
+    "CorruptHeaderError": (lambda tmp: _read_edited_trace_file(
+                               tmp, lambda b: b[:8] + struct.pack("<I", 9) + b[12:]),
+                           PersistenceError, "unsupported version 9"),
+    "TruncatedPayloadError": (lambda tmp: _read_edited_trace_file(tmp, lambda b: b[:-5]),
+                              PersistenceError, "payload is 19 bytes, header promises 24"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_TABLE) + sorted(CONDITIONS))
 def test_main_exits_with_the_error_code_and_label(tmp_path, capsys, monkeypatch, name):
-    def fail(*args, **kwargs):
-        raise getattr(errors, name)("boom")
+    if name in EXIT_TABLE:
+        category, message = getattr(errors, name), "boom"
+
+        def fail(*args, **kwargs):
+            raise category(message)
+    else:
+        meet, category, fragment = CONDITIONS[name]
+        with pytest.raises(category, match=re.escape(fragment)) as exc:
+            meet(tmp_path)
+        assert exc.type is category
+        message = str(exc.value)
+
+        def fail(*args, **kwargs):
+            meet(tmp_path)
 
     monkeypatch.setattr(cli, "cmd_experiment", fail)
     code = main(["experiment", "--preset", "fig1_asymmetry", "--out", str(tmp_path)])
-    exit_code, label = EXIT_TABLE[name]
+    exit_code, label = EXIT_TABLE[category.__name__]
     assert code == exit_code
-    assert capsys.readouterr().err == f"{label}: boom\n"
+    assert capsys.readouterr().err == f"{label}: {message}\n"
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
