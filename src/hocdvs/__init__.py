@@ -3,6 +3,10 @@
 Detects and localizes non-Gaussian vibration events in (simulated or
 recorded) fiber backscattering trace matrices: symmetric noise averages
 out of the per-point mean-cube statistic while a skewed drive does not.
+
+A name is exported here only if the CLI or an experiment preset reaches
+it, or an acceptance check calls it; tests/test_exports.py enforces the
+rule.
 """
 
 from .detect import (
@@ -11,7 +15,6 @@ from .detect import (
     METHOD_MOVING_DIFFERENTIAL,
     DetectionReport,
     HocProfile,
-    detrend,
     hoc_profile,
     locate_peak,
     location_snr,
@@ -27,19 +30,14 @@ from .io_formats import (
     write_traces,
 )
 from .stats import (
-    Histogram,
-    LaggedCumulantRequest,
     Sequence,
     center,
-    histogram,
-    joint_cumulant3,
     power,
     snr2_db,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
 from .synth import (
-    AsymmetrySpec,
     SimConfig,
     SquareWaveSpec,
     TraceMatrix,
@@ -57,11 +55,8 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetrySpec",
     "DetectionReport",
-    "Histogram",
     "HocProfile",
-    "LaggedCumulantRequest",
     "METHOD_HOC",
     "METHOD_MOVING_AVERAGE",
     "METHOD_MOVING_DIFFERENTIAL",
@@ -72,14 +67,11 @@ __all__ = [
     "asymmetrize",
     "center",
     "config_digest",
-    "detrend",
     "export_profile_csv",
     "format_sim_config",
     "gen_square_wave",
     "gen_truncated_gaussian",
-    "histogram",
     "hoc_profile",
-    "joint_cumulant3",
     "load_sim_config",
     "locate_peak",
     "location_snr",

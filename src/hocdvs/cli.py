@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config/usage error, 3 no detection (no peak, a
-background that is exactly zero, or a location SNR below --min-snr-db),
-4 I/O error.
+Exit codes: 0 success, 2 config/usage error (including a request too
+large for the memory available), 3 no detection (no peak, a background
+that is exactly zero, or a location SNR below --min-snr-db), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -151,6 +151,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"{PersistenceError.label}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"{ConfigError.label}: request does not fit in memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

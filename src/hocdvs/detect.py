@@ -1,12 +1,12 @@
-"""Detection pipeline: detrend, per-point cumulant profile, localization.
+"""Detection pipeline: per-point cumulant profile, localization.
 
-The detector removes the static trend by subtracting each fiber point's
+hoc_profile removes the static trend by subtracting each fiber point's
 across-trace mean, then reduces the windowed residual history at every
-point to a single statistic. The primary statistic is the zero-lag third
-cumulant (mean cube), which stays near zero for symmetric residuals and
-responds strongly to the skewed residuals a non-50%-duty drive produces;
-baseline methods reduce the same window with consecutive-trace absolute
-differences instead.
+point to a single statistic: the zero-lag third cumulant (mean cube),
+which stays near zero for symmetric residuals and responds strongly to
+the skewed residuals a non-50%-duty drive produces. The baseline methods
+reduce the same window with consecutive-trace absolute differences
+instead.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ class DetectionReport:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def detrend(traces: TraceMatrix) -> TraceMatrix:
-    """Subtract each fiber point's mean over all traces, in float64."""
-    if traces.num_traces < 2:
-        raise ConfigError("detrending needs at least two traces")
-    amps = np.asarray(traces.amplitudes, dtype=np.float64)
-    residuals = amps - amps.mean(axis=0, keepdims=True)
-    residuals.setflags(write=False)  # hand the fresh matrix over without a copy
-    return TraceMatrix(
-        amplitudes=residuals,
-        meters_per_point=traces.meters_per_point,
-        trace_rate_hz=traces.trace_rate_hz,
-        provenance=traces.provenance,
-    )
-
-
 def _check_window(traces: TraceMatrix, window: int) -> None:
     if window < 2:
         raise ConfigError(f"window must be >= 2 traces, got {window}")
@@ -109,10 +94,11 @@ def _check_window(traces: TraceMatrix, window: int) -> None:
 def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
     """Zero-lag third cumulant of the first `window` residuals per point.
 
-    Residuals are taken about each point's mean over all traces, so raw
-    and detrended input give the same profile. The matrix is processed in
-    blocks of HOC_BLOCK_POINTS points, each widened to float64, centred
-    and cubed on its own, so no full-size float64 copy is ever made.
+    Residuals are taken about each point's mean over all traces, so a
+    static offset per point leaves the profile unchanged. The matrix is
+    processed in blocks of HOC_BLOCK_POINTS points, each widened to
+    float64, centred and cubed on its own, so no full-size float64 copy
+    is ever made.
     """
     _check_window(traces, window)
     amps = traces.amplitudes

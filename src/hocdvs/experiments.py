@@ -18,7 +18,6 @@ from . import detect, io_formats
 from .errors import ConfigError, DegenerateNoiseReferenceError, NoEdgeError
 from .stats import Sequence, center, mean_cube, power, snr2_db
 from .synth import (
-    AsymmetrySpec,
     SimConfig,
     SquareWaveSpec,
     TraceMatrix,
@@ -95,8 +94,7 @@ def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:
         base = _symmetric_base(n, seed)
         out[row, 0] = mean_cube(base)
         for col, (lo, hi) in enumerate(ASYMMETRY_INTERVALS, start=1):
-            spec = AsymmetrySpec(interval_lo=lo, interval_hi=hi)
-            out[row, col] = mean_cube(asymmetrize(base, spec))
+            out[row, col] = mean_cube(asymmetrize(base, lo, hi))
     return out
 
 
@@ -321,7 +319,9 @@ def run_preset(name: str, out_dir, seeds=None) -> list[Path]:
     """Run one named preset into out_dir; returns the paths written."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
+    runner, default_seeds = PRESETS[name]
+    # an unallocatable seed list fails here, before any directory exists
+    seeds = default_seeds if seeds is None else tuple(seeds)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    runner, default_seeds = PRESETS[name]
-    return runner(out_path, default_seeds if seeds is None else tuple(seeds))
+    return runner(out_path, seeds)

@@ -117,11 +117,7 @@ def _parse_header(header: bytes, source):
 
 
 def _check_payload_size(payload_size: int, expected: int, source) -> None:
-    if payload_size < expected:
-        raise PersistenceError(
-            f"{source}: payload is {payload_size} bytes, header promises {expected}"
-        )
-    if payload_size > expected:
+    if payload_size != expected:
         raise PersistenceError(
             f"{source}: payload is {payload_size} bytes, header promises {expected}"
         )

@@ -60,43 +60,6 @@ class Sequence:
         return int(self.samples.size)
 
 
-@dataclass(frozen=True)
-class LaggedCumulantRequest:
-    """Pair of non-negative sample lags for the lagged third cumulant."""
-
-    tau1: int
-    tau2: int
-
-    def __post_init__(self) -> None:
-        for name, tau in (("tau1", self.tau1), ("tau2", self.tau2)):
-            if int(tau) != tau or tau < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {tau!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Equal-width histogram; out-of-range samples are counted separately."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    total: int
-    out_of_range: int = 0
-
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
-        if edges.size != counts.size + 1:
-            raise ValueError("need exactly one more edge than bins")
-        if not np.all(np.diff(edges) > 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if np.any(counts < 0) or self.out_of_range < 0:
-            raise ValueError("counts must be non-negative")
-        if int(counts.sum()) + self.out_of_range != self.total:
-            raise ValueError("counts plus out-of-range samples must equal total")
-        object.__setattr__(self, "bin_edges", _freeze(edges, self.bin_edges))
-        object.__setattr__(self, "counts", _freeze(counts, self.counts))
-
-
 def center(x: Sequence) -> Sequence:
     """Subtract the sample mean and mark the result centered."""
     return Sequence(x.samples - x.samples.mean(), centered=True)
@@ -108,32 +71,25 @@ def _require_centered(*seqs: Sequence) -> None:
             raise HocdvsError(f"argument {i + 1} is not centered")
 
 
-def joint_cumulant3(x1: Sequence, x2: Sequence, x3: Sequence) -> float:
-    """Third joint cumulant of zero-mean data: the mean of x1*x2*x3."""
-    _require_centered(x1, x2, x3)
-    n = len(x1)
-    if len(x2) != n or len(x3) != n:
-        raise HocdvsError(
-            f"lengths differ: {n}, {len(x2)}, {len(x3)}"
-        )
-    return float(np.mean(x1.samples * x2.samples * x3.samples))
-
-
-def third_cumulant_lagged(x: Sequence, req: LaggedCumulantRequest) -> float:
+def third_cumulant_lagged(x: Sequence, tau1: int, tau2: int) -> float:
     """Lagged third-cumulant estimate of a centered sequence.
 
     Sums x[t] * x[t+tau1] * x[t+tau2] over every t for which all three
     indices are in range, and divides by that effective term count, so
-    the zero-lag case coincides with the mean cube.
+    the zero-lag case coincides with the mean cube. Both lags must be
+    non-negative integers.
     """
+    for name, tau in (("tau1", tau1), ("tau2", tau2)):
+        if int(tau) != tau or tau < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {tau!r}")
     _require_centered(x)
     n = len(x)
-    lag = max(req.tau1, req.tau2)
+    lag = max(tau1, tau2)
     if lag >= n:
         raise HocdvsError(f"lag {lag} >= sequence length {n}")
     n_eff = n - lag
     s = x.samples
-    prod = s[:n_eff] * s[req.tau1 : req.tau1 + n_eff] * s[req.tau2 : req.tau2 + n_eff]
+    prod = s[:n_eff] * s[tau1 : tau1 + n_eff] * s[tau2 : tau2 + n_eff]
     return float(prod.sum() / n_eff)
 
 
@@ -195,22 +151,3 @@ def snr2_db(mixed: Sequence, noise_ref: Sequence) -> float:
         return float("-inf")
     return 10.0 * math.log10(abs(c3_mixed) / abs(c3_noise))
 
-
-def histogram(x: Sequence, bins: int, lo: float, hi: float) -> Histogram:
-    """Equal-width histogram over [lo, hi].
-
-    Bins are half-open except the last, which is closed. Samples outside
-    the range do not enter any bin but are reported in out_of_range.
-    """
-    if bins < 1:
-        raise HocdvsError(f"need at least one bin, got {bins}")
-    if not lo < hi:
-        raise HocdvsError(f"invalid range [{lo!r}, {hi!r}]")
-    counts, edges = np.histogram(x.samples, bins=bins, range=(lo, hi))
-    total = len(x)
-    return Histogram(
-        bin_edges=edges,
-        counts=counts,
-        total=total,
-        out_of_range=total - int(counts.sum()),
-    )

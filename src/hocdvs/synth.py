@@ -48,25 +48,6 @@ def _finite_positive(value: float) -> bool:
 
 
 @dataclass(frozen=True)
-class AsymmetrySpec:
-    """Half-open value interval [lo, hi) whose samples get sign-flipped."""
-
-    interval_lo: float
-    interval_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.interval_lo < self.interval_hi:
-            raise HocdvsError(
-                f"empty interval [{self.interval_lo!r}, {self.interval_hi!r})"
-            )
-        if self.interval_lo < -TRUNCATION_LIMIT or self.interval_hi > TRUNCATION_LIMIT:
-            raise HocdvsError(
-                f"interval [{self.interval_lo}, {self.interval_hi}) exceeds "
-                f"the truncation window [-{TRUNCATION_LIMIT}, {TRUNCATION_LIMIT}]"
-            )
-
-
-@dataclass(frozen=True)
 class SquareWaveSpec:
     """Offset square wave: high for round(duty * period) samples per period."""
 
@@ -156,9 +137,9 @@ class TraceMatrix:
     or float64 matrix keeps its dtype (read_traces hands over the file's
     float32 payload); anything else becomes float64. It is frozen by the
     rule of stats._freeze, which takes over an array that owns its data
-    and is already read-only: that is how read_traces, detrend and
-    synth_traces hand over the matrices they have just made without
-    paying for a second copy.
+    and is already read-only: that is how read_traces and synth_traces
+    hand over the matrices they have just made without paying for a
+    second copy.
     """
 
     amplitudes: np.ndarray
@@ -207,15 +188,22 @@ def gen_truncated_gaussian(n: int, seed: int) -> Sequence:
     return Sequence(out)
 
 
-def asymmetrize(x: Sequence, spec: AsymmetrySpec) -> Sequence:
-    """Mirror every sample in [lo, hi) to its negation.
+def asymmetrize(x: Sequence, lo: float, hi: float) -> Sequence:
+    """Mirror every sample in the half-open interval [lo, hi) to its negation.
 
     Length is preserved and exactly the interval's probability mass moves
     to the opposite sign, so the output distribution is asymmetric while
-    staying on the truncated support.
+    staying on the truncated support, which must contain the interval.
     """
+    if not lo < hi:
+        raise HocdvsError(f"empty interval [{lo!r}, {hi!r})")
+    if lo < -TRUNCATION_LIMIT or hi > TRUNCATION_LIMIT:
+        raise HocdvsError(
+            f"interval [{lo}, {hi}) exceeds "
+            f"the truncation window [-{TRUNCATION_LIMIT}, {TRUNCATION_LIMIT}]"
+        )
     out = x.samples.copy()
-    flip = (out >= spec.interval_lo) & (out < spec.interval_hi)
+    flip = (out >= lo) & (out < hi)
     out[flip] = -out[flip]
     return Sequence(out)
 

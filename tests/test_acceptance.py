@@ -14,11 +14,9 @@ from scipy.stats import spearmanr
 from hocdvs import (
     METHOD_HOC,
     HocProfile,
-    LaggedCumulantRequest,
     Sequence,
     TraceMatrix,
     center,
-    detrend,
     export_profile_csv,
     hoc_profile,
     locate_peak,
@@ -60,7 +58,7 @@ def test_c01_lagged_estimator_matches_brute_force():
         x = center(Sequence(rng.normal(size=n)))
         tau1 = int(rng.integers(0, min(9, n)))
         tau2 = int(rng.integers(0, min(9, n)))
-        got = third_cumulant_lagged(x, LaggedCumulantRequest(tau1, tau2))
+        got = third_cumulant_lagged(x, tau1, tau2)
         s = x.samples
         n_eff = n - max(tau1, tau2)
         oracle = sum(s[t] * s[t + tau1] * s[t + tau2] for t in range(n_eff)) / n_eff
@@ -239,7 +237,7 @@ def test_c06_localization_accuracy_all_duties():
         hits = 0
         for seed in range(100):
             cfg = trace_config(duty, seed)
-            prof = hoc_profile(detrend(synth_traces(cfg)), TRACE_WINDOW)
+            prof = hoc_profile(synth_traces(cfg), TRACE_WINDOW)
             idx, _ = locate_peak(prof)
             hits += abs(idx - cfg.vibration_point) <= 10
         details.append(f"duty {duty:.0%}: {hits}/100")
@@ -253,7 +251,7 @@ def test_c07_duty_cycle_snr_peak(tmp_path):
         snrs = []
         for seed in range(50):
             cfg = trace_config(duty, seed)
-            prof = hoc_profile(detrend(synth_traces(cfg)), TRACE_WINDOW)
+            prof = hoc_profile(synth_traces(cfg), TRACE_WINDOW)
             idx, _ = locate_peak(prof)
             snrs.append(location_snr(prof, idx, TRACE_GUARD))
         means[duty] = float(np.mean(snrs))
@@ -281,7 +279,7 @@ def test_c08_edge_sharpening_ratio():
     for seed in range(20):
         cfg = trace_config(0.2, seed, noise_sigma=0.0, sop_sigma=0.0)
         traces = synth_traces(cfg)
-        prof_h = hoc_profile(detrend(traces), TRACE_WINDOW)
+        prof_h = hoc_profile(traces, TRACE_WINDOW)
         prof_m = moving_differential_profile(traces, TRACE_WINDOW)
         sr_h = spatial_resolution(prof_h, locate_peak(prof_h)[0])
         sr_m = spatial_resolution(prof_m, locate_peak(prof_m)[0])

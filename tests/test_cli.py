@@ -11,18 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hocdvs import (
-    AsymmetrySpec,
     METHOD_HOC,
     HocProfile,
-    LaggedCumulantRequest,
     Sequence,
+    asymmetrize,
     cli,
-    detrend,
     errors,
     gen_truncated_gaussian,
-    histogram,
     hoc_profile,
-    joint_cumulant3,
     locate_peak,
     location_snr,
     mix_at_snr1,
@@ -154,6 +150,23 @@ class TestSimulate:
         # other rejected value is named by its field
         if "float32" not in err:
             assert key.rpartition(".")[2] in err
+        assert not out.exists()
+
+    def test_matrix_beyond_memory_is_config_error(self, tmp_path, config_file, capsys,
+                                                  monkeypatch):
+        # stands in for a config such as 2**31 points x 4 traces, which
+        # passes every check and then cannot be allocated
+        def unallocatable(cfg):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array with shape "
+                              "(4, 2147483648) and data type float64")
+
+        monkeypatch.setattr(cli, "synth_traces", unallocatable)
+        out = tmp_path / "x.hocdvs"
+        code = main(["simulate", "--config", str(config_file()), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: request does not fit in memory (Unable")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -381,6 +394,23 @@ class TestExperiment:
         assert err.startswith("config error: seed") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_seed_list_beyond_memory_is_config_error_before_any_output(
+            self, tmp_path, capsys, monkeypatch, preset):
+        # stands in for a range such as 0..10**12, which passes every check
+        # and then cannot be held as a tuple
+        class Unallocatable:
+            def __iter__(self):
+                raise MemoryError
+
+        monkeypatch.setattr(cli, "_parse_seed_range", lambda text: Unallocatable())
+        out_dir = tmp_path / "o"
+        code = main(["experiment", "--preset", preset, "--out", str(out_dir),
+                     "--seeds", "0..1000000000000"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: request does not fit in memory\n"
+        assert not out_dir.exists()
+
     def test_unknown_preset_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9_unknown", "--out", str(tmp_path)])
@@ -436,29 +466,22 @@ def _read_edited_trace_file(tmp_path, edit):
 CONDITIONS = {
     "EmptySequenceError": (lambda tmp: Sequence(np.empty(0)),
                            HocdvsError, "at least one sample"),
-    "LengthMismatchError": (lambda tmp: joint_cumulant3(_centered([1, -1]), _centered([1, -1]),
-                                                        _centered([1, 0, -1])),
-                            HocdvsError, "lengths differ: 2, 2, 3"),
     "NotCenteredError": (lambda tmp: third_cumulant_zero_lag(Sequence(np.array([1.0, 2.0]))),
                          HocdvsError, "argument 1 is not centered"),
-    "LagTooLargeError": (lambda tmp: third_cumulant_lagged(_centered([1, -1]),
-                                                           LaggedCumulantRequest(2, 0)),
+    "LagTooLargeError": (lambda tmp: third_cumulant_lagged(_centered([1, -1]), 2, 0),
                          HocdvsError, "lag 2 >= sequence length 2"),
     "ZeroSignalError": (lambda tmp: mix_at_snr1(Sequence(np.zeros(10)), 0.0, seed=0),
                         HocdvsError, "zero-power signal"),
     "PowerMismatchError": (lambda tmp: snr2_db(_centered([1, -1]), _centered([3, -3])),
                            HocdvsError, "powers differ by more than 1%"),
-    "BadRangeError": (lambda tmp: histogram(Sequence(np.ones(1)), 0, 0.0, 1.0),
-                      HocdvsError, "need at least one bin"),
     "EmptyRequestError": (lambda tmp: gen_truncated_gaussian(0, seed=0),
                           HocdvsError, "need at least one sample, got 0"),
-    "BadIntervalError": (lambda tmp: AsymmetrySpec(-1.0, -2.0), HocdvsError, "empty interval"),
+    "BadIntervalError": (lambda tmp: asymmetrize(Sequence(np.zeros(1)), -1.0, -2.0),
+                         HocdvsError, "empty interval"),
     "BadConfigError": (lambda tmp: parse_sim_config("mystery = 1\n"),
                        ConfigError, "unknown key 'mystery'"),
     "UnknownPresetError": (lambda tmp: run_preset("fig3_mystery", tmp),
                            ConfigError, "unknown preset 'fig3_mystery'"),
-    "TooFewTracesError": (lambda tmp: detrend(_zeros(1, 2)),
-                          ConfigError, "detrending needs at least two traces"),
     "WindowExceedsTracesError": (lambda tmp: hoc_profile(_zeros(5, 3), window=6),
                                  ConfigError, "window 6 exceeds 5 traces"),
     "WindowTooSmallError": (lambda tmp: hoc_profile(_zeros(5, 3), window=1),

@@ -9,7 +9,6 @@ from hocdvs import (
     HocProfile,
     Sequence,
     TraceMatrix,
-    detrend,
     hoc_profile,
     locate_peak,
     location_snr,
@@ -31,35 +30,6 @@ def matrix(rows, mpp=1.0, rate=10000.0):
 def profile(values, window=100, mpp=1.0, method=METHOD_HOC):
     return HocProfile(np.asarray(values, dtype=float), window, mpp, method)
 
-
-class TestDetrend:
-    def test_constant_columns_become_zero(self):
-        out = detrend(matrix([[3.0, 5.0], [3.0, 5.0], [3.0, 5.0]]))
-        np.testing.assert_array_equal(out.amplitudes, np.zeros((3, 2)))
-
-    def test_two_trace_column(self):
-        out = detrend(matrix([[1.0], [3.0]]))
-        np.testing.assert_allclose(out.amplitudes[:, 0], [-1.0, 1.0])
-
-    def test_static_fiber_residual_is_zero(self):
-        cfg = trace_config(0.2, seed=1, vibration_depth=0.0, noise_sigma=0.0, sop_sigma=0.0)
-        traces = synth_traces(cfg)
-        out = detrend(traces)
-        scale = float(np.max(np.abs(traces.amplitudes)))
-        assert float(np.max(np.abs(out.amplitudes))) <= 1e-12 * scale
-
-    def test_too_few_traces(self):
-        with pytest.raises(ConfigError, match="detrending needs at least two traces"):
-            detrend(matrix([[1.0, 2.0]]))
-
-    def test_metadata_preserved(self):
-        src = matrix([[1.0], [2.0]], mpp=2.5, rate=5000.0)
-        out = detrend(src)
-        assert out.meters_per_point == 2.5
-        assert out.trace_rate_hz == 5000.0
-        assert out.provenance == src.provenance
-
-
 class TestHocProfile:
     def test_zero_residuals_give_zero_profile(self):
         prof = hoc_profile(matrix(np.zeros((10, 4))), window=10)
@@ -68,32 +38,26 @@ class TestHocProfile:
 
     def test_matches_zero_lag_cumulant_per_column(self):
         rng = np.random.default_rng(77)
-        traces = detrend(matrix(rng.normal(size=(50, 6))))
-        prof = hoc_profile(traces, window=50)
+        raw = rng.normal(size=(50, 6))
+        residuals = raw - raw.mean(axis=0)
+        prof = hoc_profile(matrix(raw), window=50)
         for col in range(6):
-            expected = third_cumulant_zero_lag(
-                Sequence(traces.amplitudes[:, col], centered=True)
-            )
+            expected = third_cumulant_zero_lag(Sequence(residuals[:, col], centered=True))
             assert prof.values[col] == pytest.approx(expected, rel=1e-12)
 
-    def test_raw_traces_with_offset_match_detrended(self):
-        rng = np.random.default_rng(1)
-        raw = matrix(5.0 + rng.gamma(2.0, size=(20, 4)))
-        ref = hoc_profile(detrend(raw), window=20).values
-        got = hoc_profile(raw, window=20).values
-        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
-
     @pytest.mark.parametrize(
-        "points",
-        [1, HOC_BLOCK_POINTS - 1, HOC_BLOCK_POINTS, HOC_BLOCK_POINTS + 1,
-         2 * HOC_BLOCK_POINTS + 3],
+        "offset, traces, points, window",
+        [pytest.param(3.0, 12, points, 9, id=str(points))
+         for points in (1, HOC_BLOCK_POINTS - 1, HOC_BLOCK_POINTS, HOC_BLOCK_POINTS + 1,
+                        2 * HOC_BLOCK_POINTS + 3)]
+        + [pytest.param(5.0, 20, 4, 20, id="offset5-20x4")],
     )
-    def test_block_boundaries(self, points):
+    def test_block_boundaries(self, offset, traces, points, window):
         rng = np.random.default_rng(points)
-        raw = 3.0 + rng.gamma(2.0, size=(12, points))
+        raw = offset + rng.gamma(2.0, size=(traces, points))
         residuals = raw - raw.mean(axis=0)
-        ref = np.mean(residuals[:9] ** 3, axis=0)
-        got = hoc_profile(matrix(raw), window=9).values
+        ref = np.mean(residuals[:window] ** 3, axis=0)
+        got = hoc_profile(matrix(raw), window=window).values
         assert got.shape == (points,)
         assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
@@ -142,9 +106,10 @@ class TestHocProfile:
     def test_matches_pow_reference(self, window):
         # skewed residuals about each point's mean over all 40 traces
         rng = np.random.default_rng(21)
-        traces = detrend(matrix(rng.gamma(2.0, size=(40, 300))))
-        ref = np.mean(traces.amplitudes[:window].astype(np.float64) ** 3, axis=0)
-        got = hoc_profile(traces, window).values
+        raw = rng.gamma(2.0, size=(40, 300))
+        residuals = raw - raw.mean(axis=0)
+        ref = np.mean(residuals[:window] ** 3, axis=0)
+        got = hoc_profile(matrix(residuals), window).values
         assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("mpp", [float("nan"), float("inf"), 0.0])
@@ -154,7 +119,7 @@ class TestHocProfile:
 
     def test_vibration_peak_lands_on_event(self):
         cfg = trace_config(0.2, seed=3)
-        prof = hoc_profile(detrend(synth_traces(cfg)), window=TRACE_WINDOW)
+        prof = hoc_profile(synth_traces(cfg), window=TRACE_WINDOW)
         idx, _ = locate_peak(prof)
         assert abs(idx - cfg.vibration_point) <= cfg.pulse_width_points // 2
 
@@ -162,7 +127,7 @@ class TestHocProfile:
         hits = []
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            traces = detrend(matrix(rng.normal(0.0, 0.1, size=(60, 200))))
+            traces = matrix(rng.normal(0.0, 0.1, size=(60, 200)))
             idx, _ = locate_peak(hoc_profile(traces, window=60))
             hits.append(idx)
         _, counts = np.unique(hits, return_counts=True)
@@ -187,7 +152,7 @@ class TestMovingDifferential:
     def test_peak_agrees_with_hoc_on_clean_input(self):
         cfg = trace_config(0.2, seed=6, noise_sigma=0.001, sop_sigma=0.0)
         traces = synth_traces(cfg)
-        idx_h, _ = locate_peak(hoc_profile(detrend(traces), TRACE_WINDOW))
+        idx_h, _ = locate_peak(hoc_profile(traces, TRACE_WINDOW))
         idx_m, _ = locate_peak(moving_differential_profile(traces, TRACE_WINDOW))
         assert idx_h == idx_m
 
@@ -308,8 +273,8 @@ class TestProfileProperties:
         scaled = TraceMatrix(
             scale * traces.amplitudes, traces.meters_per_point, traces.trace_rate_hz
         )
-        base = hoc_profile(detrend(traces), TRACE_WINDOW)
-        boosted = hoc_profile(detrend(scaled), TRACE_WINDOW)
+        base = hoc_profile(traces, TRACE_WINDOW)
+        boosted = hoc_profile(scaled, TRACE_WINDOW)
         # tolerance is relative to the profile scale: points where the cubes
         # almost cancel cannot hold a pointwise-relative bound
         atol = 1e-12 * float(np.max(np.abs(boosted.values)))
@@ -326,11 +291,12 @@ class TestProfileProperties:
             rng = np.random.default_rng([seed, 77])
             target_db = rng.uniform(0.0, 6.0)
             clean_cfg = trace_config(0.1, seed=seed, noise_sigma=0.0, sop_sigma=0.0)
-            clean = detrend(synth_traces(clean_cfg))
-            sig_power = float(np.mean(clean.amplitudes[:, clean_cfg.vibration_point] ** 2))
+            amps = synth_traces(clean_cfg).amplitudes
+            clean = amps - amps.mean(axis=0)
+            sig_power = float(np.mean(clean[:, clean_cfg.vibration_point] ** 2))
             sigma = float(np.sqrt(sig_power * 10.0 ** (-target_db / 10.0)))
             cfg = trace_config(0.1, seed=seed, noise_sigma=sigma, sop_sigma=0.0)
-            idx, _ = locate_peak(hoc_profile(detrend(synth_traces(cfg)), TRACE_WINDOW))
+            idx, _ = locate_peak(hoc_profile(synth_traces(cfg), TRACE_WINDOW))
             hits += abs(idx - cfg.vibration_point) <= cfg.pulse_width_points
         assert hits >= 95
 
@@ -338,8 +304,9 @@ class TestProfileProperties:
         hoc_snrs, mdiff_snrs = [], []
         for seed in range(50):
             clean_cfg = trace_config(0.2, seed=seed, noise_sigma=0.0, sop_sigma=0.0)
-            clean = detrend(synth_traces(clean_cfg))
-            sigma = float(np.sqrt(np.mean(clean.amplitudes[:, clean_cfg.vibration_point] ** 2)))
+            amps = synth_traces(clean_cfg).amplitudes
+            clean = amps - amps.mean(axis=0)
+            sigma = float(np.sqrt(np.mean(clean[:, clean_cfg.vibration_point] ** 2)))
             cfg = trace_config(0.2, seed=seed, noise_sigma=sigma, sop_sigma=0.0)
             traces = synth_traces(cfg)
             _, rep_h = analyze_traces(traces, METHOD_HOC, TRACE_WINDOW)
@@ -352,7 +319,7 @@ class TestProfileProperties:
         for seed in range(5):
             cfg = trace_config(0.2, seed=seed, noise_sigma=0.0, sop_sigma=0.0)
             traces = synth_traces(cfg)
-            prof_h = hoc_profile(detrend(traces), TRACE_WINDOW)
+            prof_h = hoc_profile(traces, TRACE_WINDOW)
             prof_m = moving_differential_profile(traces, TRACE_WINDOW)
             sr_h = spatial_resolution(prof_h, locate_peak(prof_h)[0])
             sr_m = spatial_resolution(prof_m, locate_peak(prof_m)[0])

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocdvs import (
-    Histogram,
-    LaggedCumulantRequest,
     Sequence,
     center,
-    histogram,
-    joint_cumulant3,
     power,
     snr2_db,
     third_cumulant_lagged,
@@ -19,9 +15,6 @@ from hocdvs import (
 )
 from hocdvs.errors import DegenerateNoiseReferenceError, HocdvsError
 from hocdvs.stats import mean_cube
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
 
 def seq(values, centered=False):
     return Sequence(np.asarray(values, dtype=float), centered=centered)
@@ -66,63 +59,33 @@ class TestCenter:
         assert len(center(seq([3.0, 7.0, 9.0, 9.0]))) == 4
 
 
-class TestJointCumulant3:
-    def test_zero_input(self):
-        z = seq([0, 0, 0], centered=True)
-        assert joint_cumulant3(z, z, z) == 0.0
-
-    def test_direct_evaluation(self):
-        x = seq([1, 1, -2], centered=True)
-        assert joint_cumulant3(x, x, x) == pytest.approx(-2.0, rel=1e-15)
-
-    @given(st.floats(min_value=0.01, max_value=100.0))
-    def test_odd_symmetry_cancels(self, a):
-        x = seq([a, -a], centered=True)
-        assert joint_cumulant3(x, x, x) == pytest.approx(0.0, abs=1e-12 * a**3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(HocdvsError, match="lengths differ: 2, 2, 3") as exc:
-            joint_cumulant3(
-                seq([1, -1], centered=True),
-                seq([1, -1], centered=True),
-                seq([1, 0, -1], centered=True),
-            )
-        assert exc.type is HocdvsError
-
-    def test_not_centered(self):
-        x = seq([1.0, 2.0])
-        with pytest.raises(HocdvsError, match="argument 1 is not centered") as exc:
-            joint_cumulant3(x, x, x)
-        assert exc.type is HocdvsError
-
-
 class TestThirdCumulantLagged:
     def test_zero_lag_equals_joint(self):
         x = seq([1, 1, -2], centered=True)
-        got = third_cumulant_lagged(x, LaggedCumulantRequest(0, 0))
-        assert got == pytest.approx(joint_cumulant3(x, x, x), rel=1e-15)
+        got = third_cumulant_lagged(x, 0, 0)
+        assert got == pytest.approx(third_cumulant_zero_lag(x), rel=1e-15)
         assert got == pytest.approx(-2.0, rel=1e-15)
 
     def test_unit_lag_example(self):
         x = seq([1, -1, 1, -1], centered=True)
-        got = third_cumulant_lagged(x, LaggedCumulantRequest(1, 0))
+        got = third_cumulant_lagged(x, 1, 0)
         assert got == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
     def test_lag_too_large(self):
         x = seq([1.0, -1.0], centered=True)
         with pytest.raises(HocdvsError, match="lag 2 >= sequence length 2") as exc:
-            third_cumulant_lagged(x, LaggedCumulantRequest(2, 0))
+            third_cumulant_lagged(x, 2, 0)
         assert exc.type is HocdvsError
 
     def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError):
-            LaggedCumulantRequest(-1, 0)
+        x = seq([1.0, -1.0], centered=True)
+        with pytest.raises(ValueError, match="tau1 must be a non-negative integer, got -1"):
+            third_cumulant_lagged(x, -1, 0)
 
     def test_gaussian_null_with_bootstrap_error_bars(self):
         rng = np.random.default_rng(2024)
         x = center(seq(rng.standard_normal(20000)))
-        req = LaggedCumulantRequest(3, 7)
-        got = third_cumulant_lagged(x, req)
+        got = third_cumulant_lagged(x, 3, 7)
         s = x.samples
         n_eff = len(x) - 7
         products = s[:n_eff] * s[3 : 3 + n_eff] * s[7 : 7 + n_eff]
@@ -230,45 +193,6 @@ class TestSnr2Db:
         assert float(np.mean(values)) > 0.0
 
 
-class TestHistogram:
-    def test_single_bin(self):
-        h = histogram(seq([0.5]), 1, 0.0, 1.0)
-        assert list(h.counts) == [1]
-        assert h.total == 1 and h.out_of_range == 0
-
-    def test_last_bin_closed(self):
-        h = histogram(seq([-1.0, 1.0]), 2, -1.0, 1.0)
-        assert list(h.counts) == [1, 1]
-
-    def test_out_of_range_flagged(self):
-        h = histogram(seq([-2.0, 0.5, 3.0]), 1, 0.0, 1.0)
-        assert list(h.counts) == [1]
-        assert h.total == 3
-        assert h.out_of_range == 2
-
-    def test_bad_range(self):
-        with pytest.raises(HocdvsError, match="invalid range") as exc:
-            histogram(seq([1.0]), 2, 1.0, 1.0)
-        assert exc.type is HocdvsError
-        with pytest.raises(HocdvsError, match="need at least one bin") as exc:
-            histogram(seq([1.0]), 0, 0.0, 1.0)
-        assert exc.type is HocdvsError
-
-    def test_invariants_validated(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_edges=np.array([0.0, 1.0]), counts=np.array([2]), total=1)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=60), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_permutation_invariant(self, values, perm_seed):
-        shuffled = np.array(values)
-        np.random.default_rng(perm_seed).shuffle(shuffled)
-        a = histogram(seq(values), 7, -10.0, 10.0)
-        b = histogram(seq(shuffled), 7, -10.0, 10.0)
-        assert list(a.counts) == list(b.counts)
-        assert a.out_of_range == b.out_of_range
-
-
 class TestLaggedAgainstBruteForce:
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=32),
@@ -281,7 +205,7 @@ class TestLaggedAgainstBruteForce:
         n = len(x)
         if max(tau1, tau2) >= n:
             return
-        got = third_cumulant_lagged(x, LaggedCumulantRequest(tau1, tau2))
+        got = third_cumulant_lagged(x, tau1, tau2)
         s = x.samples
         n_eff = n - max(tau1, tau2)
         expected = sum(s[t] * s[t + tau1] * s[t + tau2] for t in range(n_eff)) / n_eff

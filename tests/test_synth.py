@@ -7,8 +7,6 @@ from scipy.stats import norm
 
 from hocdvs import (
     METHOD_HOC,
-    AsymmetrySpec,
-    Histogram,
     HocProfile,
     Sequence,
     SquareWaveSpec,
@@ -16,11 +14,9 @@ from hocdvs import (
     asymmetrize,
     center,
     config_digest,
-    detrend,
     format_sim_config,
     gen_square_wave,
     gen_truncated_gaussian,
-    histogram,
     mix_at_snr1,
     parse_sim_config,
     power,
@@ -69,15 +65,16 @@ class TestTruncatedGaussian:
 
 class TestAsymmetrize:
     def test_flips_only_interval_samples(self):
-        out = asymmetrize(Sequence(np.array([-2.0, 0.5])), AsymmetrySpec(-3.46, -1.28))
+        out = asymmetrize(Sequence(np.array([-2.0, 0.5])), -3.46, -1.28)
         np.testing.assert_array_equal(out.samples, [2.0, 0.5])
 
     def test_interval_outside_window_rejected(self):
+        x = Sequence(np.array([-2.0, 0.5]))
         with pytest.raises(HocdvsError, match="exceeds the truncation window") as exc:
-            AsymmetrySpec(-4.0, -1.28)
+            asymmetrize(x, -4.0, -1.28)
         assert exc.type is HocdvsError
         with pytest.raises(HocdvsError, match="empty interval") as exc:
-            AsymmetrySpec(-1.0, -2.0)
+            asymmetrize(x, -1.0, -2.0)
         assert exc.type is HocdvsError
 
     def test_flipped_indices_restore_after_mirror_flip(self):
@@ -85,8 +82,8 @@ class TestAsymmetrize:
         lo, hi = -1.28, -0.84
         flipped_idx = (x.samples >= lo) & (x.samples < hi)
         untouched_idx = ~flipped_idx & ~((x.samples > -hi) & (x.samples <= -lo))
-        once = asymmetrize(x, AsymmetrySpec(lo, hi))
-        twice = asymmetrize(once, AsymmetrySpec(-hi, -lo))
+        once = asymmetrize(x, lo, hi)
+        twice = asymmetrize(once, -hi, -lo)
         np.testing.assert_array_equal(twice.samples[flipped_idx], x.samples[flipped_idx])
         np.testing.assert_array_equal(twice.samples[untouched_idx], x.samples[untouched_idx])
 
@@ -94,13 +91,13 @@ class TestAsymmetrize:
         n = 99947
         x = gen_truncated_gaussian(n, seed=21)
         for lo, hi in ASYMMETRY_INTERVALS:
-            h = histogram(x, 1, lo, hi)
-            assert h.counts[0] / n == pytest.approx(0.10, abs=0.005)
+            inside = np.count_nonzero((x.samples >= lo) & (x.samples <= hi))
+            assert inside / n == pytest.approx(0.10, abs=0.005)
 
     def test_widest_interval_maximizes_centered_cumulant(self):
         base = gen_truncated_gaussian(99947, seed=13)
         c3s = [
-            third_cumulant_zero_lag(center(asymmetrize(base, AsymmetrySpec(lo, hi))))
+            third_cumulant_zero_lag(center(asymmetrize(base, lo, hi)))
             for lo, hi in ASYMMETRY_INTERVALS
         ]
         assert int(np.argmax(c3s)) == 0
@@ -175,6 +172,13 @@ class TestSynthTraces:
         cfg = trace_config(0.2, seed=0, vibration_depth=0.0, noise_sigma=0.0, sop_sigma=0.0)
         traces = synth_traces(cfg)
         np.testing.assert_array_equal(traces.amplitudes, np.tile(traces.amplitudes[0], (100, 1)))
+
+    def test_static_fiber_residual_is_zero(self):
+        cfg = trace_config(0.2, seed=1, vibration_depth=0.0, noise_sigma=0.0, sop_sigma=0.0)
+        amps = synth_traces(cfg).amplitudes
+        residuals = amps - amps.mean(axis=0)
+        scale = float(np.max(np.abs(amps)))
+        assert float(np.max(np.abs(residuals))) <= 1e-12 * scale
 
     def test_bit_identical_reruns(self):
         cfg = trace_config(0.3, seed=17)
@@ -306,17 +310,16 @@ class TestTraceMatrixInvariants:
         traces = synth_traces(trace_config(0.2, seed=4, fiber_points=60, vibration_point=30))
         path = tmp_path / "t.hocdvs"
         write_traces(path, traces)
-        for produced in (traces, detrend(traces), read_traces(path)):
+        for produced in (traces, read_traces(path)):
             assert not produced.amplitudes.flags.writeable
             assert produced.amplitudes.flags.owndata
 
 
-# The four array-holding dataclasses share one copy-and-freeze rule. Each
+# The three array-holding dataclasses share one copy-and-freeze rule. Each
 # entry builds an instance from an array and returns the array it stores,
 # with the shape that array needs.
 FROZEN = {
     "Sequence": (lambda a: Sequence(a).samples, (3,)),
-    "Histogram": (lambda a: Histogram(a, [1, 1], 2).bin_edges, (3,)),
     "TraceMatrix": (lambda a: TraceMatrix(a, 1.0, 1000.0).amplitudes, (2, 3)),
     "HocProfile": (lambda a: HocProfile(a, 2, 1.0, METHOD_HOC).values, (3,)),
 }
