@@ -30,6 +30,7 @@ def matrix(rows, mpp=1.0, rate=10000.0):
 def profile(values, window=100, mpp=1.0, method=METHOD_HOC):
     return HocProfile(np.asarray(values, dtype=float), window, mpp, method)
 
+
 class TestHocProfile:
     def test_zero_residuals_give_zero_profile(self):
         prof = hoc_profile(matrix(np.zeros((10, 4))), window=10)
@@ -79,6 +80,22 @@ class TestHocProfile:
         assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
         centred_on_window = np.mean((raw[:25] - raw[:25].mean(axis=0)) ** 3, axis=0)
         assert float(np.max(np.abs(got - centred_on_window))) > 1e-3 * float(np.max(np.abs(ref)))
+
+    def test_constant_columns_give_zero_profile(self):
+        prof = hoc_profile(matrix([[3.0, 5.0], [3.0, 5.0], [3.0, 5.0]]), window=3)
+        np.testing.assert_array_equal(prof.values, np.zeros(2))
+
+    def test_two_traces_give_zero_profile(self):
+        # two residuals about their mean are +d and -d, whose cubes cancel
+        rng = np.random.default_rng(4)
+        raw = rng.gamma(2.0, size=(2, 30))
+        prof = hoc_profile(matrix(raw), window=2)
+        scale = float(np.max(np.abs(raw))) ** 3
+        assert float(np.max(np.abs(prof.values))) <= 1e-12 * scale
+
+    def test_one_trace_cannot_fill_a_window(self):
+        with pytest.raises(ConfigError, match="window 2 exceeds 1 traces"):
+            hoc_profile(matrix([[1.0, 2.0]]), window=2)
 
     def test_window_exceeds_traces(self):
         with pytest.raises(ConfigError, match="window 6 exceeds 5 traces"):
@@ -132,6 +149,23 @@ class TestHocProfile:
             hits.append(idx)
         _, counts = np.unique(hits, return_counts=True)
         assert counts.max() <= 10  # no single point dominates across seeds
+
+
+@pytest.mark.parametrize(
+    "make_profile",
+    [
+        hoc_profile,
+        moving_differential_profile,
+        lambda traces, window: moving_average_profile(traces, window, 2),
+    ],
+    ids=["hoc", "mdiff", "mavg"],
+)
+def test_profile_carries_window_and_meters_per_point(make_profile):
+    rng = np.random.default_rng(13)
+    prof = make_profile(matrix(rng.normal(size=(8, 5)), mpp=2.5, rate=5000.0), 6)
+    assert prof.window == 6
+    assert prof.meters_per_point == 2.5
+    assert prof.fiber_points == 5
 
 
 class TestMovingDifferential:
@@ -232,6 +266,24 @@ class TestLocationSnr:
         with pytest.raises(ConfigError, match="guard 5 leaves no background samples"):
             location_snr(profile([1.0, 2.0, 3.0]), peak_index=1, guard=5)
 
+    def test_negative_guard_rejected(self):
+        with pytest.raises(ConfigError, match="guard must be >= 0, got -1"):
+            location_snr(profile([3.0, 1.0, 1.0]), peak_index=0, guard=-1)
+
+    @pytest.mark.parametrize("peak_index", [-1, 3])
+    def test_peak_index_outside_profile_rejected(self, peak_index):
+        with pytest.raises(ValueError, match=f"peak_index {peak_index} outside profile of 3"):
+            location_snr(profile([3.0, 1.0, 1.0]), peak_index=peak_index, guard=0)
+
+    def test_zero_peak_value(self):
+        with pytest.raises(NoDetectionError, match="value at peak_index is zero"):
+            location_snr(profile([0.0, 1.0, 1.0, 1.0]), peak_index=0, guard=0)
+
+    def test_underflowing_ratio_uses_logarithms(self):
+        # 1e-200**2 / 1e200 underflows to 0; the dB value is still finite
+        got = location_snr(profile([1e-200, 1e100, 1e100]), peak_index=0, guard=0)
+        assert got == pytest.approx(-6000.0, rel=1e-12)
+
 
 class TestSpatialResolution:
     def test_linear_ramp_ten_meters(self):
@@ -263,6 +315,11 @@ class TestSpatialResolution:
     def test_flat_profile_has_no_edge(self):
         with pytest.raises(NoEdgeError):
             spatial_resolution(profile([1.0, 1.0, 1.0, 1.0]), peak_index=3)
+
+    @pytest.mark.parametrize("peak_index", [-1, 4])
+    def test_peak_index_outside_profile_rejected(self, peak_index):
+        with pytest.raises(ValueError, match=f"peak_index {peak_index} outside profile of 4"):
+            spatial_resolution(profile([0.0, 1.0, 2.0, 3.0]), peak_index=peak_index)
 
 
 class TestProfileProperties:
@@ -332,3 +389,42 @@ def test_report_requires_finite_peak_position(position):
     with pytest.raises(ValueError, match="peak_position_m"):
         DetectionReport(peak_index=1, peak_position_m=position, location_snr_db=10.0,
                         spatial_resolution_m=None, method=METHOD_HOC)
+
+
+@pytest.mark.parametrize(
+    "values, shape",
+    [([], r"\(0,\)"), ([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)")],
+    ids=["empty", "matrix"],
+)
+def test_profile_requires_non_empty_vector(values, shape):
+    with pytest.raises(ValueError, match=f"values must be a non-empty vector, got shape {shape}"):
+        profile(values)
+
+
+def test_profile_rejects_window_below_two():
+    with pytest.raises(ValueError, match="window must be >= 2 traces, got 1"):
+        profile([1.0, 2.0], window=1)
+
+
+def test_profile_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'cumulant'"):
+        profile([1.0, 2.0], method="cumulant")
+
+
+def test_report_rejects_negative_peak_index():
+    with pytest.raises(ValueError, match="peak_index must be >= 0"):
+        DetectionReport(peak_index=-1, peak_position_m=0.0, location_snr_db=10.0,
+                        spatial_resolution_m=None, method=METHOD_HOC)
+
+
+@pytest.mark.parametrize("snr_db", [np.inf, np.nan])
+def test_report_requires_finite_location_snr(snr_db):
+    with pytest.raises(ValueError, match="location_snr_db must be finite"):
+        DetectionReport(peak_index=1, peak_position_m=1.0, location_snr_db=snr_db,
+                        spatial_resolution_m=None, method=METHOD_HOC)
+
+
+def test_report_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'mdiff'"):
+        DetectionReport(peak_index=1, peak_position_m=1.0, location_snr_db=10.0,
+                        spatial_resolution_m=None, method="mdiff")

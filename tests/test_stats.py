@@ -16,6 +16,7 @@ from hocdvs import (
 from hocdvs.errors import DegenerateNoiseReferenceError, HocdvsError
 from hocdvs.stats import mean_cube
 
+
 def seq(values, centered=False):
     return Sequence(np.asarray(values, dtype=float), centered=centered)
 
@@ -81,6 +82,17 @@ class TestThirdCumulantLagged:
         x = seq([1.0, -1.0], centered=True)
         with pytest.raises(ValueError, match="tau1 must be a non-negative integer, got -1"):
             third_cumulant_lagged(x, -1, 0)
+
+    @pytest.mark.parametrize("tau2", [1.5, -2])
+    def test_second_lag_must_be_a_non_negative_integer(self, tau2):
+        x = seq([1.0, -2.0, 1.0], centered=True)
+        with pytest.raises(ValueError, match=f"tau2 must be a non-negative integer, got {tau2}"):
+            third_cumulant_lagged(x, 0, tau2)
+
+    def test_requires_centered(self):
+        with pytest.raises(HocdvsError, match="argument 1 is not centered") as exc:
+            third_cumulant_lagged(seq([1.0, 2.0, 3.0]), 1, 0)
+        assert exc.type is HocdvsError
 
     def test_gaussian_null_with_bootstrap_error_bars(self):
         rng = np.random.default_rng(2024)
