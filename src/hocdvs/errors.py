@@ -39,13 +39,6 @@ class PersistenceError(HocdvsError):
     label = "i/o error"
 
 
-class DegenerateNoiseReferenceError(HocdvsError):
-    """The noise reference is too symmetric for a stable cumulant ratio.
-
-    experiments.snr2_sample catches it to redraw the reference.
-    """
-
-
 class NoEdgeError(HocdvsError):
     """No rising edge with both 10% and 90% crossings was found.
 

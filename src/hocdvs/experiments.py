@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import detect, io_formats
-from .errors import ConfigError, DegenerateNoiseReferenceError, NoEdgeError
-from .stats import Sequence, center, mean_cube, power, snr2_db
+from .errors import ConfigError, HocdvsError, NoEdgeError
+from .stats import Sequence, mean_cube, snr2_db
 from .synth import (
     SimConfig,
     SquareWaveSpec,
@@ -78,7 +78,9 @@ def _symmetric_base(n: int, seed: int) -> Sequence:
     if n == 1:
         return Sequence(np.zeros(1))
     half = gen_truncated_gaussian(n // 2, seed).samples
-    return Sequence(np.concatenate([half, -half, np.zeros(n % 2)]))
+    samples = np.concatenate([half, -half, np.zeros(n % 2)])
+    samples.setflags(write=False)
+    return Sequence(samples)
 
 
 def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:
@@ -98,35 +100,44 @@ def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:
     return out
 
 
-def snr2_sample(duty: float, length: int, snr1_db: float, seed: int) -> float:
-    """One output-SNR measurement for a square wave mixed at snr1_db.
+def _draw_streams(seeds, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's mixing noise and first noise reference, as two S x length
+    stacks; a shorter draw from either stream is a prefix of its row."""
+    noise = [np.random.default_rng(derive_seed(s, 1)).standard_normal(length) for s in seeds]
+    refs = [np.random.default_rng([s, 2, 0]).standard_normal(length) for s in seeds]
+    return np.reshape(noise, (-1, length)), np.reshape(refs, (-1, length))
 
-    The equal-power noise reference is drawn from a child seed; if its own
-    cumulant is degenerate the draw is repeated with the next child seed,
-    so the procedure stays deterministic per (duty, length, snr1_db, seed).
-    """
+
+def _snr2_statistics(duty: float, snr1_db: float, seeds, noise, refs) -> tuple[float, float]:
+    """snr2_statistics at length noise.shape[1], from the seeds' streams."""
+    length = noise.shape[1]
     spec = SquareWaveSpec(duty=duty, period_samples=SNR2_PERIOD, amplitude=1.0)
-    wave = gen_square_wave(length, spec)
-    mixed = center(mix_at_snr1(wave, snr1_db, derive_seed(seed, 1)))
-    target_power = power(mixed)
+    mixed = mix_at_snr1(gen_square_wave(length, spec), snr1_db, noise)
+    mixed -= mixed.mean(axis=1, keepdims=True)
+    target_power = np.mean(mixed**2, axis=1, keepdims=True)
+    values = np.empty(len(seeds))
+    rows = np.arange(len(seeds))
     for attempt in range(_MAX_REFERENCE_RETRIES):
-        rng = np.random.default_rng([seed, 2, attempt])
-        raw = rng.standard_normal(length)
-        ref = raw - raw.mean()
-        ref = ref * np.sqrt(target_power / np.mean(ref**2))
-        try:
-            return snr2_db(mixed, Sequence(ref, centered=True))
-        except DegenerateNoiseReferenceError:
-            continue
-    raise DegenerateNoiseReferenceError(
-        f"no stable noise reference in {_MAX_REFERENCE_RETRIES} attempts"
-    )
+        ref = refs - refs.mean(axis=1, keepdims=True)
+        ref *= np.sqrt(target_power[rows] / np.mean(ref**2, axis=1, keepdims=True))
+        values[rows] = snr2_db(mixed[rows], ref)
+        rows = rows[np.isnan(values[rows])]
+        if rows.size == 0:
+            return float(values.mean()), float(values.std(ddof=1))
+        refs = np.array([
+            np.random.default_rng([seeds[r], 2, attempt + 1]).standard_normal(length)
+            for r in rows
+        ])
+    raise HocdvsError(f"no stable noise reference in {_MAX_REFERENCE_RETRIES} attempts")
 
 
 def snr2_statistics(duty: float, length: int, snr1_db: float, seeds) -> tuple[float, float]:
-    """Mean and standard deviation of snr2_sample over a seed list."""
-    values = np.array([snr2_sample(duty, length, snr1_db, s) for s in seeds])
-    return float(values.mean()), float(values.std(ddof=1))
+    """Mean and standard deviation over seeds of the output SNR of a square
+    wave mixed at snr1_db. A seed whose equal-power noise reference has a
+    degenerate cumulant redraws it from its next child seed, so each value
+    stays deterministic per (duty, length, snr1_db, seed)."""
+    seeds = list(seeds)
+    return _snr2_statistics(duty, snr1_db, seeds, *_draw_streams(seeds, length))
 
 
 def trace_config(duty: float, seed: int, **overrides) -> SimConfig:
@@ -198,11 +209,15 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_csv(out_dir: Path, preset: str, lines) -> Path:
+    path = out_dir / f"{preset}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
-def _write_meta(out_dir: Path, meta: dict) -> Path:
+def _write_meta(out_dir: Path, preset: str, seeds, meta: dict) -> Path:
+    """run_meta.json: the preset's name, its seed list and its settings."""
+    meta = {"preset": preset, "seeds": list(seeds), **meta}
     path = out_dir / "run_meta.json"
     path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
@@ -215,53 +230,38 @@ def _run_fig1(out_dir: Path, seeds) -> list[Path]:
         col = table[:, k]
         std = col.std(ddof=1) if col.size > 1 else 0.0
         lines.append(f"{k + 1},{_fmt(col.mean())},{_fmt(std)}")
-    csv_path = out_dir / "fig1_asymmetry.csv"
-    _write_lines(csv_path, lines)
-    meta = _write_meta(out_dir, {
-        "preset": "fig1_asymmetry",
-        "seeds": list(seeds),
-        "sequence_length": REFERENCE_LENGTH,
-        "intervals": [list(iv) for iv in ASYMMETRY_INTERVALS],
-    })
-    return [csv_path, meta]
+    return [
+        _write_csv(out_dir, "fig1_asymmetry", lines),
+        _write_meta(out_dir, "fig1_asymmetry", seeds, {
+            "sequence_length": REFERENCE_LENGTH,
+            "intervals": [list(iv) for iv in ASYMMETRY_INTERVALS],
+        }),
+    ]
+
+
+def _run_snr2_sweep(out_dir: Path, seeds, preset: str, swept: str, cells, meta) -> list[Path]:
+    """One output-SNR preset: a CSV row per duty and (label, length, snr1_db)
+    cell, all cells sliced from each seed's streams drawn once."""
+    noise, refs = _draw_streams(seeds, max(length for _, length, _ in cells))
+    lines = [f"duty,{swept},mean_snr2_db,std_snr2_db"]
+    for duty in DUTY_CYCLES:
+        for label, length, snr1 in cells:
+            mean, std = _snr2_statistics(duty, snr1, seeds, noise[:, :length], refs[:, :length])
+            lines.append(f"{_fmt(duty)},{label},{_fmt(mean)},{_fmt(std)}")
+    meta = {**meta, "duties": list(DUTY_CYCLES), "wave_period": SNR2_PERIOD}
+    return [_write_csv(out_dir, preset, lines), _write_meta(out_dir, preset, seeds, meta)]
 
 
 def _run_fig2a(out_dir: Path, seeds) -> list[Path]:
-    lines = ["duty,length,mean_snr2_db,std_snr2_db"]
-    for duty in DUTY_CYCLES:
-        for length in SWEEP_LENGTHS:
-            mean, std = snr2_statistics(duty, length, 0.0, seeds)
-            lines.append(f"{_fmt(duty)},{length},{_fmt(mean)},{_fmt(std)}")
-    csv_path = out_dir / "fig2a_length_sweep.csv"
-    _write_lines(csv_path, lines)
-    meta = _write_meta(out_dir, {
-        "preset": "fig2a_length_sweep",
-        "seeds": list(seeds),
-        "snr1_db": 0.0,
-        "lengths": list(SWEEP_LENGTHS),
-        "duties": list(DUTY_CYCLES),
-        "wave_period": SNR2_PERIOD,
-    })
-    return [csv_path, meta]
+    cells = [(length, length, 0.0) for length in SWEEP_LENGTHS]
+    meta = {"snr1_db": 0.0, "lengths": list(SWEEP_LENGTHS)}
+    return _run_snr2_sweep(out_dir, seeds, "fig2a_length_sweep", "length", cells, meta)
 
 
 def _run_fig2b(out_dir: Path, seeds) -> list[Path]:
-    lines = ["duty,snr1_db,mean_snr2_db,std_snr2_db"]
-    for duty in DUTY_CYCLES:
-        for snr1 in SNR1_GRID_DB:
-            mean, std = snr2_statistics(duty, SNR2_LENGTH, snr1, seeds)
-            lines.append(f"{_fmt(duty)},{_fmt(snr1)},{_fmt(mean)},{_fmt(std)}")
-    csv_path = out_dir / "fig2b_snr_sweep.csv"
-    _write_lines(csv_path, lines)
-    meta = _write_meta(out_dir, {
-        "preset": "fig2b_snr_sweep",
-        "seeds": list(seeds),
-        "length": SNR2_LENGTH,
-        "snr1_grid_db": list(SNR1_GRID_DB),
-        "duties": list(DUTY_CYCLES),
-        "wave_period": SNR2_PERIOD,
-    })
-    return [csv_path, meta]
+    cells = [(_fmt(snr1), SNR2_LENGTH, snr1) for snr1 in SNR1_GRID_DB]
+    meta = {"length": SNR2_LENGTH, "snr1_grid_db": list(SNR1_GRID_DB)}
+    return _run_snr2_sweep(out_dir, seeds, "fig2b_snr_sweep", "snr1_db", cells, meta)
 
 
 def _run_e2e(out_dir: Path, seeds) -> list[Path]:
@@ -276,10 +276,8 @@ def _run_e2e(out_dir: Path, seeds) -> list[Path]:
             f"{_fmt(report.peak_position_m)},{_fmt(report.location_snr_db)},{sr}"
         )
         snr_by_duty[duty].append(report.location_snr_db)
-    csv_path = out_dir / "e2e_localization.csv"
-    _write_lines(csv_path, lines)
 
-    paths = [csv_path]
+    paths = [_write_csv(out_dir, "e2e_localization", lines)]
     digests = {}
     first_reports = {duty: report for duty, seed, report in rows if seed == seeds[0]}
     for duty in DUTY_CYCLES:
@@ -293,16 +291,13 @@ def _run_e2e(out_dir: Path, seeds) -> list[Path]:
 
     mean_snr = {_fmt(duty): float(np.mean(snr_by_duty[duty])) for duty in DUTY_CYCLES}
     ordering = sorted(mean_snr, key=mean_snr.get, reverse=True)
-    meta = _write_meta(out_dir, {
-        "preset": "e2e_localization",
-        "seeds": seeds,
+    paths.append(_write_meta(out_dir, "e2e_localization", seeds, {
         "window": TRACE_WINDOW,
         "guard": TRACE_GUARD,
         "config_digests": digests,
         "mean_location_snr_db": mean_snr,
         "location_snr_ordering": ordering,
-    })
-    paths.append(meta)
+    }))
     return paths
 
 

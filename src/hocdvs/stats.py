@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNoiseReferenceError, HocdvsError
+from .errors import HocdvsError
 
 # |mean| must stay below this times max(1, max|sample|) for centered data.
 CENTER_TOL = 1e-12
@@ -34,6 +34,14 @@ def _freeze(arr: np.ndarray, source) -> np.ndarray:
     return arr
 
 
+def _check_centered(rows: np.ndarray) -> None:
+    """Raise unless each row has |mean| <= CENTER_TOL * max(1, max|sample|)."""
+    mean = rows.mean(axis=-1)
+    off = np.abs(mean) > CENTER_TOL * np.maximum(1.0, np.max(np.abs(rows), axis=-1))
+    if np.any(off):
+        raise HocdvsError(f"sequence flagged centered but mean is {mean[off].flat[0]:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """A finite real-valued time series with an explicit centering flag."""
@@ -48,12 +56,7 @@ class Sequence:
         if arr.size == 0:
             raise HocdvsError("sequence must contain at least one sample")
         if self.centered:
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            mean = float(arr.mean())
-            if abs(mean) > CENTER_TOL * scale:
-                raise HocdvsError(
-                    f"sequence flagged centered but mean is {mean:.3e}"
-                )
+            _check_centered(arr)
         object.__setattr__(self, "samples", _freeze(arr, self.samples))
 
     def __len__(self) -> int:
@@ -125,29 +128,36 @@ def power(x: Sequence) -> float:
     return float(np.mean(x.samples**2))
 
 
-def snr2_db(mixed: Sequence, noise_ref: Sequence) -> float:
+def snr2_db(mixed, noise_ref) -> float | list[float]:
     """Output SNR: dB ratio of cumulant magnitudes against equal-power noise.
 
-    Both inputs must be centered and power-matched within 1% (callers
-    normalize the reference). A reference whose own third cumulant sits
-    below the stability floor cannot anchor the ratio; callers should
-    average over noise realizations instead.
+    Takes two centered Sequences and returns a float, or two S x L stacks
+    of centered rows and returns S floats. Each pair must be power-matched
+    within 1% (callers normalize the reference). A reference whose own
+    third cumulant is at or below the stability floor cannot anchor the
+    ratio: a Sequence pair raises, a stack row gives NaN for redrawing.
     """
-    _require_centered(mixed, noise_ref)
-    p_mixed = power(mixed)
-    p_noise = power(noise_ref)
-    if abs(p_mixed - p_noise) > 0.01 * max(p_mixed, p_noise):
-        raise HocdvsError(
-            f"powers differ by more than 1%: {p_mixed:.6g} vs {p_noise:.6g}"
-        )
-    c3_noise = third_cumulant_zero_lag(noise_ref)
-    floor = NOISE_C3_FLOOR * p_noise**1.5
-    if abs(c3_noise) <= floor:
-        raise DegenerateNoiseReferenceError(
-            f"|c3(noise)| = {abs(c3_noise):.3e} is below the floor {floor:.3e}"
-        )
-    c3_mixed = third_cumulant_zero_lag(mixed)
-    if c3_mixed == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(abs(c3_mixed) / abs(c3_noise))
-
+    single = isinstance(mixed, Sequence)
+    if single:
+        _require_centered(mixed, noise_ref)
+        mixed, noise_ref = mixed.samples[None], noise_ref.samples[None]
+    _check_centered(mixed)
+    _check_centered(noise_ref)
+    values = []
+    for p_mixed, p_noise, c3_mixed, c3_noise in zip(
+        np.mean(mixed**2, axis=1).tolist(),
+        np.mean(noise_ref**2, axis=1).tolist(),
+        mean_cube_axis0(mixed.T).tolist(),
+        mean_cube_axis0(noise_ref.T).tolist(),
+    ):
+        if abs(p_mixed - p_noise) > 0.01 * max(p_mixed, p_noise):
+            raise HocdvsError(f"powers differ by more than 1%: {p_mixed:.6g} vs {p_noise:.6g}")
+        floor = NOISE_C3_FLOOR * p_noise**1.5
+        if abs(c3_noise) > floor:
+            ratio = abs(c3_mixed) / abs(c3_noise)
+            values.append(float("-inf") if c3_mixed == 0.0 else 10.0 * math.log10(ratio))
+        elif single:
+            raise HocdvsError(f"|c3(noise)| = {abs(c3_noise):.3e} is below the floor {floor:.3e}")
+        else:
+            values.append(float("nan"))
+    return values[0] if single else values

@@ -185,6 +185,7 @@ def gen_truncated_gaussian(n: int, seed: int) -> Sequence:
         keep = draw[np.abs(draw) <= TRUNCATION_LIMIT]
         out[filled : filled + keep.size] = keep
         filled += keep.size
+    out.setflags(write=False)  # fresh, so Sequence takes it over without a copy
     return Sequence(out)
 
 
@@ -202,9 +203,8 @@ def asymmetrize(x: Sequence, lo: float, hi: float) -> Sequence:
             f"interval [{lo}, {hi}) exceeds "
             f"the truncation window [-{TRUNCATION_LIMIT}, {TRUNCATION_LIMIT}]"
         )
-    out = x.samples.copy()
-    flip = (out >= lo) & (out < hi)
-    out[flip] = -out[flip]
+    out = np.where((x.samples >= lo) & (x.samples < hi), -x.samples, x.samples)
+    out.setflags(write=False)
     return Sequence(out)
 
 
@@ -212,24 +212,23 @@ def gen_square_wave(n: int, spec: SquareWaveSpec) -> Sequence:
     """Periodic offset square wave of n samples."""
     idx = (np.arange(n) - spec.phase_samples % spec.period_samples) % spec.period_samples
     samples = np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
+    samples.setflags(write=False)
     return Sequence(samples)
 
 
-def mix_at_snr1(signal: Sequence, snr1_db: float, seed: int) -> Sequence:
-    """Add white Gaussian noise scaled so the realized power ratio is exact.
-
-    The noise gain is set from the realized sample powers, so
-    10*log10(power(signal) / power(scaled noise)) equals snr1_db to
-    rounding, not just in expectation.
-    """
+def mix_at_snr1(signal: Sequence, snr1_db: float, noise: np.ndarray) -> np.ndarray:
+    """Add white Gaussian noise, one row or an S x len(signal) stack of
+    draws, each row scaled so its realized power ratio is exact: the gain
+    is set from the realized sample powers, so 10*log10(power(signal) /
+    power(scaled row)) equals snr1_db to rounding, not just in expectation."""
+    if noise.shape[-1] != len(signal):
+        raise ValueError(f"noise rows need {len(signal)} samples, got shape {noise.shape}")
     p_signal = power(signal)
     if p_signal == 0.0:
         raise HocdvsError("cannot set an SNR against a zero-power signal")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(len(signal))
-    p_raw = float(np.mean(noise**2))
+    p_raw = np.mean(noise**2, axis=-1, keepdims=True)
     gain = np.sqrt(p_signal * 10.0 ** (-snr1_db / 10.0) / p_raw)
-    return Sequence(signal.samples + gain * noise)
+    return signal.samples + gain * noise
 
 
 def synth_traces(cfg: SimConfig) -> TraceMatrix:
@@ -239,23 +238,26 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
     noise), so identical configs give bit-identical matrices.
     """
     rng = np.random.default_rng(cfg.seed)
-    m, w, pw = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points
+    m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
 
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
     csum = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(1j * phases))])
     stop = np.minimum(np.arange(m) + min(pw, m), m)
     baseline = np.abs(csum[stop] - csum[np.arange(m)])
-
+    sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
+    # the kernel is exactly 0 outside |m - p| < pw, where clean == baseline
+    lo, hi = max(p - pw + 1, 0), min(p + pw, m)
+    kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
     drive = gen_square_wave(w, cfg.vibration).samples
-    offsets = np.abs(np.arange(m) - cfg.vibration_point)
-    kernel = np.clip(1.0 - offsets / pw, 0.0, None)
-    event_amplitude = cfg.vibration_depth * baseline[cfg.vibration_point]
+    event_amplitude = cfg.vibration_depth * baseline[p]
     with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
-        clean = baseline[None, :] + event_amplitude * kernel[None, :] * drive[:, None]
-
-        sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
-        noise = rng.normal(0.0, cfg.noise_sigma, size=(w, m))
-        amplitudes = sop[:, None] * clean + noise
+        amplitudes = sop[:, None] * baseline
+        amplitudes[:, lo:hi] = sop[:, None] * (
+            baseline[lo:hi] + event_amplitude * kernel * drive[:, None]
+        )
+        noise = rng.standard_normal(size=(w, m))
+        noise *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
+        amplitudes += noise
     # NaN fails both comparisons, as does anything a trace file cannot store
     if not (-_FLOAT32_MAX <= amplitudes.min() and amplitudes.max() <= _FLOAT32_MAX):
         raise ConfigError("config drives amplitudes beyond the float32 range of trace files")

@@ -173,7 +173,7 @@ def test_c04_output_snr_monotone_in_length():
     (b) A 200-seed mean cannot resolve the steps. One realization's dB
         value has a std of about 6-7 dB, so each mean has a standard error
         of 0.43-0.51 dB, against steps of 0.03-0.4 dB at 40% duty. Over 100
-        disjoint 200-seed lists of snr2_sample, rho = 1 holds in 4% of the
+        disjoint 200-seed lists of output SNRs, rho = 1 holds in 4% of the
         lists at 40% duty and in 65% at 30% duty; with the variance
         convention 40% duty passes in only about 30%.
 

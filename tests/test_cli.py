@@ -424,7 +424,6 @@ EXIT_TABLE = {
     "ConfigError": (2, "config error"),
     "NoDetectionError": (3, "no detection"),
     "PersistenceError": (4, "i/o error"),
-    "DegenerateNoiseReferenceError": (1, "error"),
     "NoEdgeError": (1, "error"),
 }
 
@@ -470,10 +469,14 @@ CONDITIONS = {
                          HocdvsError, "argument 1 is not centered"),
     "LagTooLargeError": (lambda tmp: third_cumulant_lagged(_centered([1, -1]), 2, 0),
                          HocdvsError, "lag 2 >= sequence length 2"),
-    "ZeroSignalError": (lambda tmp: mix_at_snr1(Sequence(np.zeros(10)), 0.0, seed=0),
+    "ZeroSignalError": (lambda tmp: mix_at_snr1(Sequence(np.zeros(10)), 0.0, np.ones(10)),
                         HocdvsError, "zero-power signal"),
     "PowerMismatchError": (lambda tmp: snr2_db(_centered([1, -1]), _centered([3, -3])),
                            HocdvsError, "powers differ by more than 1%"),
+    # an exactly symmetric, power-matched reference has c3 = 0
+    "DegenerateNoiseReferenceError": (lambda tmp: snr2_db(_centered([2, -1, -1]),
+                                                          _centered([-3**0.5, 0, 3**0.5])),
+                                      HocdvsError, "|c3(noise)| = 0.000e+00 is below the floor"),
     "EmptyRequestError": (lambda tmp: gen_truncated_gaussian(0, seed=0),
                           HocdvsError, "need at least one sample, got 0"),
     "BadIntervalError": (lambda tmp: asymmetrize(Sequence(np.zeros(1)), -1.0, -2.0),

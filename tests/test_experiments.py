@@ -1,22 +1,27 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from hocdvs.errors import ConfigError
+from hocdvs import stats
+from hocdvs.errors import ConfigError, HocdvsError
 from hocdvs.experiments import (
     ASYMMETRY_INTERVALS,
     DUTY_CYCLES,
+    SNR2_PERIOD,
     SWEEP_LENGTHS,
+    _draw_streams,
+    _snr2_statistics,
     asymmetry_sweep,
     derive_seed,
     localization_sweep,
     run_preset,
-    snr2_sample,
+    snr2_statistics,
     trace_config,
 )
-from hocdvs.stats import Sequence, mean_cube
-from hocdvs.synth import config_digest
+from hocdvs.stats import Sequence, mean_cube, mean_cube_axis0
+from hocdvs.synth import SquareWaveSpec, config_digest, gen_square_wave
 
 
 def test_derive_seed_stable_and_distinct():
@@ -30,8 +35,76 @@ def test_mean_cube_is_raw_third_moment():
     assert mean_cube(x) == pytest.approx((1.0 + 8.0 - 1.0) / 3.0)
 
 
-def test_snr2_sample_deterministic():
-    assert snr2_sample(0.2, 120, 0.0, 9) == snr2_sample(0.2, 120, 0.0, 9)
+def test_snr2_statistics_deterministic():
+    assert snr2_statistics(0.2, 120, 0.0, [9, 4]) == snr2_statistics(0.2, 120, 0.0, (9, 4))
+
+
+def reference_snr2(duty, length, snr1_db, seed):
+    """One seed's (attempts used, output SNR in dB), by the per-seed
+    arithmetic of the one-sample-at-a-time form the batched kernel replaced."""
+    spec = SquareWaveSpec(duty=duty, period_samples=SNR2_PERIOD, amplitude=1.0)
+    wave = gen_square_wave(length, spec).samples
+    noise = np.random.default_rng(derive_seed(seed, 1)).standard_normal(length)
+    p_raw = float(np.mean(noise**2))
+    gain = np.sqrt(float(np.mean(wave**2)) * 10.0 ** (-snr1_db / 10.0) / p_raw)
+    mixed = wave + gain * noise
+    mixed = mixed - mixed.mean()
+    target_power = float(np.mean(mixed**2))
+    c3_mixed = float(mean_cube_axis0(mixed))
+    for attempt in range(64):
+        raw = np.random.default_rng([seed, 2, attempt]).standard_normal(length)
+        ref = raw - raw.mean()
+        ref = ref * np.sqrt(target_power / np.mean(ref**2))
+        c3_noise = float(mean_cube_axis0(ref))
+        if abs(c3_noise) > stats.NOISE_C3_FLOOR * float(np.mean(ref**2)) ** 1.5:
+            if c3_mixed == 0.0:
+                return attempt, float("-inf")
+            return attempt, 10.0 * math.log10(abs(c3_mixed) / abs(c3_noise))
+    raise AssertionError("reference exhausted its attempts")
+
+
+def reference_statistics(duty, length, snr1_db, seeds):
+    runs = [reference_snr2(duty, length, snr1_db, s) for s in seeds]
+    values = np.array([value for _, value in runs])
+    return (float(values.mean()), float(values.std(ddof=1))), max(a for a, _ in runs)
+
+
+@pytest.mark.parametrize("snr1_db", [-6.0, 0.0, 6.0])
+def test_kernel_matches_per_seed_reference_bit_for_bit(snr1_db):
+    seeds = list(range(40, 70))
+    # the preset path: streams drawn once at the longest length, sliced per cell
+    noise, refs = _draw_streams(seeds, max(SWEEP_LENGTHS))
+    for duty, length in zip((0.1, 0.2, 0.3, 0.4, 0.1), SWEEP_LENGTHS):
+        expected, _ = reference_statistics(duty, length, snr1_db, seeds)
+        assert snr2_statistics(duty, length, snr1_db, seeds) == expected
+        sliced = (noise[:, :length], refs[:, :length])
+        assert _snr2_statistics(duty, snr1_db, seeds, *sliced) == expected
+
+
+def test_kernel_redraws_only_degenerate_references(monkeypatch):
+    # a floor near the spread of a 120-sample reference's skewness sends
+    # many rows, and only those, through later attempts
+    monkeypatch.setattr(stats, "NOISE_C3_FLOOR", 0.2)
+    seeds = list(range(60))
+    expected, most_attempts = reference_statistics(0.2, 120, 0.0, seeds)
+    assert most_attempts >= 2
+    assert snr2_statistics(0.2, 120, 0.0, seeds) == expected
+
+
+def test_kernel_exhausted_attempts_message(monkeypatch):
+    monkeypatch.setattr(stats, "NOISE_C3_FLOOR", math.inf)
+    with pytest.raises(HocdvsError, match="^no stable noise reference in 64 attempts$") as exc:
+        snr2_statistics(0.2, 20, 0.0, range(3))
+    assert exc.type is HocdvsError
+
+
+@pytest.mark.parametrize("length", SWEEP_LENGTHS)
+def test_shorter_draw_is_a_prefix_of_the_longest(length):
+    for seed in (0, 7, 199):
+        for stream in (derive_seed(seed, 1), [seed, 2, 0], [seed, 2, 3]):
+            longest = np.random.default_rng(stream).standard_normal(max(SWEEP_LENGTHS))
+            short = np.random.default_rng(stream).standard_normal(length)
+            assert longest[:length].tobytes() == short.tobytes()
 
 
 def test_trace_config_overrides():
@@ -40,6 +113,22 @@ def test_trace_config_overrides():
     assert cfg.vibration.period_samples == 20
     assert cfg.vibration.duty == 0.3
     assert config_digest(cfg) != config_digest(trace_config(0.3, seed=2))
+
+
+def test_asymmetry_sweep_copies_no_array(monkeypatch):
+    # every producer marks its fresh array read-only, so Sequence takes it over
+    copied = []
+    freeze = stats._freeze
+
+    def counting(arr, source):
+        frozen = freeze(arr, source)
+        copied.append(frozen is not arr)
+        return frozen
+
+    monkeypatch.setattr(stats, "_freeze", counting)
+    asymmetry_sweep([0])
+    assert len(copied) == 2 + len(ASYMMETRY_INTERVALS)  # draw, base K1, K2..K6
+    assert not any(copied)
 
 
 def test_asymmetry_sweep_shape_and_base_column():

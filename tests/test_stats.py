@@ -13,7 +13,7 @@ from hocdvs import (
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
-from hocdvs.errors import DegenerateNoiseReferenceError, HocdvsError
+from hocdvs.errors import HocdvsError
 from hocdvs.stats import mean_cube
 
 
@@ -193,16 +193,35 @@ class TestSnr2Db:
         mixed = center(seq([4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
         ref = seq([1.0, -1.0] * 4, centered=True)  # exactly symmetric, c3 = 0
         ref = Sequence(ref.samples * math.sqrt(power(mixed) / power(ref)), centered=True)
-        with pytest.raises(DegenerateNoiseReferenceError):
+        with pytest.raises(HocdvsError, match="is below the floor") as exc:
             snr2_db(mixed, ref)
+        assert exc.type is HocdvsError
 
     def test_low_duty_wave_gains_snr_on_average(self):
         # 10%-duty square wave at 0 dB input SNR, window 120: the mean output
         # ratio across noise realizations must come out positive.
-        from hocdvs.experiments import snr2_sample
+        from hocdvs.experiments import snr2_statistics
 
-        values = [snr2_sample(0.1, 120, 0.0, s) for s in range(200)]
-        assert float(np.mean(values)) > 0.0
+        mean, _ = snr2_statistics(0.1, 120, 0.0, range(200))
+        assert mean > 0.0
+
+    def test_stack_gives_each_row_its_sequence_value(self):
+        rng = np.random.default_rng(21)
+        mixed = rng.exponential(1.0, (6, 40))
+        mixed -= mixed.mean(axis=1, keepdims=True)
+        ref = rng.standard_normal((6, 40))
+        ref -= ref.mean(axis=1, keepdims=True)
+        ref *= np.sqrt(np.mean(mixed**2, axis=1) / np.mean(ref**2, axis=1))[:, None]
+        ref[4] = np.sqrt(np.mean(mixed[4] ** 2)) * np.array([1.0, -1.0] * 20)  # c3 = 0
+        got = snr2_db(mixed, ref)
+        for row in (0, 1, 2, 3, 5):
+            assert got[row] == snr2_db(seq(mixed[row], True), seq(ref[row], True))
+        assert math.isnan(got[4])
+
+    def test_stack_rows_must_be_centered(self):
+        rows = np.array([[1.0, -1.0], [1.0, 2.0]])
+        with pytest.raises(HocdvsError, match="flagged centered but mean is 1.500e"):
+            snr2_db(rows, rows)
 
 
 class TestLaggedAgainstBruteForce:

@@ -140,31 +140,66 @@ class TestSquareWave:
             SquareWaveSpec(**kwargs)
 
 
+def draws(seed, shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
 class TestMixAtSnr1:
     @pytest.mark.parametrize("snr1_db", [-6.0, 0.0, 7.3])
     def test_realized_ratio_exact(self, snr1_db):
         wave = gen_square_wave(120, SquareWaveSpec(duty=0.2, period_samples=20, amplitude=1.0))
-        mixed = mix_at_snr1(wave, snr1_db, seed=4)
-        noise = Sequence(mixed.samples - wave.samples)
+        mixed = mix_at_snr1(wave, snr1_db, draws(4, 120))
+        noise = Sequence(mixed - wave.samples)
         realized = 10.0 * np.log10(power(wave) / power(noise))
         assert realized == pytest.approx(snr1_db, abs=1e-9)
 
     def test_zero_db_matches_powers(self):
         wave = gen_square_wave(120, SquareWaveSpec(duty=0.2, period_samples=20, amplitude=1.0))
-        mixed = mix_at_snr1(wave, 0.0, seed=8)
-        noise = Sequence(mixed.samples - wave.samples)
+        mixed = mix_at_snr1(wave, 0.0, draws(8, 120))
+        noise = Sequence(mixed - wave.samples)
         assert power(noise) == pytest.approx(power(wave), rel=1e-9)
 
     def test_zero_signal(self):
         with pytest.raises(HocdvsError, match="zero-power signal") as exc:
-            mix_at_snr1(Sequence(np.zeros(10)), 0.0, seed=0)
+            mix_at_snr1(Sequence(np.zeros(10)), 0.0, draws(0, 10))
         assert exc.type is HocdvsError
 
     def test_deterministic(self):
         wave = gen_square_wave(64, SquareWaveSpec(duty=0.1, period_samples=20, amplitude=1.0))
-        a = mix_at_snr1(wave, 3.0, seed=5)
-        b = mix_at_snr1(wave, 3.0, seed=5)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = mix_at_snr1(wave, 3.0, draws(5, 64))
+        b = mix_at_snr1(wave, 3.0, draws(5, 64))
+        np.testing.assert_array_equal(a, b)
+
+    def test_stack_mixes_each_row_on_its_own(self):
+        wave = gen_square_wave(40, SquareWaveSpec(duty=0.3, period_samples=20, amplitude=1.0))
+        noise = draws(6, (5, 40))
+        stacked = mix_at_snr1(wave, -3.0, noise)
+        for row in range(5):
+            assert stacked[row].tobytes() == mix_at_snr1(wave, -3.0, noise[row]).tobytes()
+
+    def test_noise_rows_must_match_the_signal(self):
+        wave = gen_square_wave(40, SquareWaveSpec(duty=0.3, period_samples=20, amplitude=1.0))
+        with pytest.raises(ValueError, match="noise rows need 40 samples, got shape"):
+            mix_at_snr1(wave, 0.0, draws(0, (40, 1)))
+
+
+def full_matrix_amplitudes(cfg):
+    """synth_traces as one full-matrix expression: every W x M term built
+    in full, the noise drawn with rng.normal."""
+    rng = np.random.default_rng(cfg.seed)
+    m, w, pw = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    csum = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(1j * phases))])
+    stop = np.minimum(np.arange(m) + min(pw, m), m)
+    baseline = np.abs(csum[stop] - csum[np.arange(m)])
+    drive = gen_square_wave(w, cfg.vibration).samples
+    offsets = np.abs(np.arange(m) - cfg.vibration_point)
+    kernel = np.clip(1.0 - offsets / pw, 0.0, None)
+    event_amplitude = cfg.vibration_depth * baseline[cfg.vibration_point]
+    clean = baseline[None, :] + event_amplitude * kernel[None, :] * drive[:, None]
+    sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
+    noise = rng.normal(0.0, cfg.noise_sigma, size=(w, m))
+    return sop[:, None] * clean + noise
 
 
 class TestSynthTraces:
@@ -212,6 +247,28 @@ class TestSynthTraces:
         cfg = trace_config(0.2, seed=11)
         _, report = analyze_traces(synth_traces(cfg), METHOD_HOC, 100)
         assert abs(report.peak_index - cfg.vibration_point) <= cfg.pulse_width_points // 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"vibration_point": 0},
+        {"vibration_point": 59},
+        {"pulse_width_points": 60},
+        {"pulse_width_points": 500, "vibration_point": 7},
+        {"pulse_width_points": 1},
+        {"sop_sigma": 0.0},
+        {"noise_sigma": 0.0},
+        {"vibration.amplitude": -2.5},
+    ])
+    def test_matches_full_matrix_formula(self, overrides):
+        cfg = trace_config(0.3, seed=9, fiber_points=60, num_traces=24,
+                           **{"vibration_point": 30, **overrides})
+        got = synth_traces(cfg).amplitudes
+        assert got.tobytes() == full_matrix_amplitudes(cfg).tobytes()
+
+    def test_float32_overflow_is_a_config_error(self):
+        cfg = trace_config(0.3, seed=9, fiber_points=60, vibration_point=30,
+                           **{"vibration.amplitude": 1.0e300})
+        with pytest.raises(ConfigError, match="beyond the float32 range"):
+            synth_traces(cfg)
 
     def test_bad_geometry(self):
         with pytest.raises(ConfigError, match="vibration_point must lie on the fiber"):
