@@ -88,9 +88,9 @@ def cmd_analyze(
     window: int,
     out_dir: str,
     *,
-    avg_len: int = 5,
-    guard: int = experiments.TRACE_GUARD,
-    min_snr_db: float | None = None,
+    avg_len: int,
+    guard: int,
+    min_snr_db: float | None,
 ) -> int:
     if min_snr_db is not None and math.isnan(min_snr_db):
         raise ConfigError("--min-snr-db must be a number, got nan")
@@ -121,7 +121,7 @@ def cmd_analyze(
     return EXIT_OK
 
 
-def cmd_experiment(preset: str, out_dir: str, seeds=None) -> int:
+def cmd_experiment(preset: str, out_dir: str, seeds) -> int:
     paths = experiments.run_preset(preset, out_dir, seeds=seeds)
     for path in paths:
         print(f"wrote {path}")

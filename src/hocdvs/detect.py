@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NoDetectionError, NoEdgeError
 from .stats import _freeze, mean_cube_axis0
-from .synth import TraceMatrix
+from .synth import TraceMatrix, _finite_positive
 
 METHOD_HOC = "hoc"
 METHOD_MOVING_DIFFERENTIAL = "moving_differential"
@@ -50,7 +50,7 @@ class HocProfile:
             raise ValueError(f"values must be a non-empty vector, got shape {arr.shape}")
         if self.window < 2:
             raise ValueError(f"window must be >= 2 traces, got {self.window}")
-        if not (math.isfinite(self.meters_per_point) and self.meters_per_point > 0):
+        if not _finite_positive(self.meters_per_point):
             raise ValueError("meters_per_point must be finite and > 0")
         if self.method not in METHOD_ALIASES.values():
             raise ValueError(f"unknown method {self.method!r}")

@@ -72,18 +72,17 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _symmetric_base(n: int, seed: int) -> Sequence:
+def _symmetric_base(seed: int) -> Sequence:
     """The base K1: a truncated-Gaussian half sample h laid out as [h, -h],
-    plus one 0.0 when n is odd, so no sampling skew of i.i.d. draws remains."""
-    if n == 1:
-        return Sequence(np.zeros(1))
-    half = gen_truncated_gaussian(n // 2, seed).samples
-    samples = np.concatenate([half, -half, np.zeros(n % 2)])
+    plus one 0.0 when REFERENCE_LENGTH is odd, so no sampling skew of i.i.d.
+    draws remains."""
+    half = gen_truncated_gaussian(REFERENCE_LENGTH // 2, seed).samples
+    samples = np.concatenate([half, -half, np.zeros(REFERENCE_LENGTH % 2)])
     samples.setflags(write=False)
     return Sequence(samples)
 
 
-def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:
+def asymmetry_sweep(seeds) -> np.ndarray:
     """Per-seed mean cubes of K1..K6; rows are seeds, columns are K indices.
 
     K1 is a symmetrized truncated-Gaussian sample (`_symmetric_base`), so
@@ -93,7 +92,7 @@ def asymmetry_sweep(seeds, n: int = REFERENCE_LENGTH) -> np.ndarray:
     seeds = list(seeds)
     out = np.empty((len(seeds), 1 + len(ASYMMETRY_INTERVALS)))
     for row, seed in enumerate(seeds):
-        base = _symmetric_base(n, seed)
+        base = _symmetric_base(seed)
         out[row, 0] = mean_cube(base)
         for col, (lo, hi) in enumerate(ASYMMETRY_INTERVALS, start=1):
             out[row, col] = mean_cube(asymmetrize(base, lo, hi))
@@ -106,6 +105,12 @@ def _draw_streams(seeds, length: int) -> tuple[np.ndarray, np.ndarray]:
     noise = [np.random.default_rng(derive_seed(s, 1)).standard_normal(length) for s in seeds]
     refs = [np.random.default_rng([s, 2, 0]).standard_normal(length) for s in seeds]
     return np.reshape(noise, (-1, length)), np.reshape(refs, (-1, length))
+
+
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation over seeds; one seed has spread 0."""
+    std = values.std(ddof=1) if values.size > 1 else 0.0
+    return float(values.mean()), float(std)
 
 
 def _snr2_statistics(duty: float, snr1_db: float, seeds, noise, refs) -> tuple[float, float]:
@@ -123,7 +128,7 @@ def _snr2_statistics(duty: float, snr1_db: float, seeds, noise, refs) -> tuple[f
         values[rows] = snr2_db(mixed[rows], ref)
         rows = rows[np.isnan(values[rows])]
         if rows.size == 0:
-            return float(values.mean()), float(values.std(ddof=1))
+            return _mean_std(values)
         refs = np.array([
             np.random.default_rng([seeds[r], 2, attempt + 1]).standard_normal(length)
             for r in rows
@@ -194,10 +199,10 @@ def analyze_traces(
     return profile, report
 
 
-def localization_sweep(seeds, duties=DUTY_CYCLES):
+def localization_sweep(seeds):
     """Detection reports for every (duty, seed) pair at trace scale."""
     rows = []
-    for duty in duties:
+    for duty in DUTY_CYCLES:
         for seed in seeds:
             cfg = trace_config(duty, seed)
             _, report = analyze_traces(synth_traces(cfg), detect.METHOD_HOC, TRACE_WINDOW)
@@ -227,9 +232,8 @@ def _run_fig1(out_dir: Path, seeds) -> list[Path]:
     table = asymmetry_sweep(seeds)
     lines = ["k_index,mean_c3,std_c3"]
     for k in range(table.shape[1]):
-        col = table[:, k]
-        std = col.std(ddof=1) if col.size > 1 else 0.0
-        lines.append(f"{k + 1},{_fmt(col.mean())},{_fmt(std)}")
+        mean, std = _mean_std(table[:, k])
+        lines.append(f"{k + 1},{_fmt(mean)},{_fmt(std)}")
     return [
         _write_csv(out_dir, "fig1_asymmetry", lines),
         _write_meta(out_dir, "fig1_asymmetry", seeds, {

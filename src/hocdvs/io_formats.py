@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,8 +37,6 @@ HEADER_SIZE = _HEADER.size
 
 _PROVENANCE_CODES = {PROVENANCE_SYNTHETIC: 0, PROVENANCE_RECORDED: 1}
 _PROVENANCE_NAMES = {code: name for name, code in _PROVENANCE_CODES.items()}
-# Bytes per readinto call; Linux returns at most ~2 GiB from one read.
-_READ_CHUNK = 1 << 30
 
 
 def write_traces(path, traces: TraceMatrix) -> None:
@@ -51,7 +50,7 @@ def write_traces(path, traces: TraceMatrix) -> None:
         traces.trace_rate_hz,
         _PROVENANCE_CODES[traces.provenance],
     )
-    payload = np.ascontiguousarray(traces.amplitudes, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(traces.amplitudes, dtype="<f4")
     try:
         with open(path, "wb") as fh:
             fh.write(header)
@@ -64,29 +63,23 @@ def read_traces(path, digest=None) -> TraceMatrix:
     """Read a trace matrix written by write_traces, keeping its float32 payload.
 
     The header is checked against the file size before the payload is
-    allocated, and the payload is read straight into the matrix. A
-    hashlib object passed as digest is fed every byte of the file.
+    allocated, and the payload is read straight into the matrix: one
+    record of M float32 per trace, so the W records are the W x M matrix
+    itself. A hashlib object passed as digest is fed every byte of the file.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
             header = fh.read(HEADER_SIZE)
-            shape, mpp, rate, prov_code = _parse_header(header, path)
-            expected = shape[0] * shape[1] * 4
+            (num_traces, fiber_points), mpp, rate, prov_code = _parse_header(header, path)
+            expected = num_traces * fiber_points * 4
             _check_payload_size(os.fstat(fh.fileno()).st_size - HEADER_SIZE, expected, path)
-            amplitudes = np.empty(shape, dtype="<f4")
-            payload = memoryview(amplitudes).cast("B")
-            done = 0
-            while done < expected:
-                got = fh.readinto(payload[done : done + _READ_CHUNK])
-                if not got:
-                    break
-                done += got
-            _check_payload_size(done + len(fh.read(1)), expected, path)
+            amplitudes = np.fromfile(fh, dtype=np.dtype(("<f4", fiber_points)), count=num_traces)
+            _check_payload_size(amplitudes.nbytes + len(fh.read(1)), expected, path)
     except OSError as exc:
         raise PersistenceError(f"cannot read traces from {path}: {exc}") from exc
     if digest is not None:
         digest.update(header)
-        digest.update(payload)
+        digest.update(amplitudes)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     try:
         return TraceMatrix(
@@ -161,15 +154,7 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_report_json(path, report: DetectionReport, *, window: int, config_digest: str) -> None:
     """Serialize a detection report deterministically (sorted keys)."""
-    payload = {
-        "method": report.method,
-        "peak_index": report.peak_index,
-        "peak_position_m": report.peak_position_m,
-        "location_snr_db": report.location_snr_db,
-        "spatial_resolution_m": report.spatial_resolution_m,
-        "window": window,
-        "config_digest": config_digest,
-    }
+    payload = {**asdict(report), "window": window, "config_digest": config_digest}
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

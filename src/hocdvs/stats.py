@@ -68,10 +68,9 @@ def center(x: Sequence) -> Sequence:
     return Sequence(x.samples - x.samples.mean(), centered=True)
 
 
-def _require_centered(*seqs: Sequence) -> None:
-    for i, s in enumerate(seqs):
-        if not s.centered:
-            raise HocdvsError(f"argument {i + 1} is not centered")
+def _require_centered(x: Sequence) -> None:
+    if not x.centered:
+        raise HocdvsError("argument 1 is not centered")
 
 
 def third_cumulant_lagged(x: Sequence, tau1: int, tau2: int) -> float:
@@ -85,6 +84,7 @@ def third_cumulant_lagged(x: Sequence, tau1: int, tau2: int) -> float:
     for name, tau in (("tau1", tau1), ("tau2", tau2)):
         if int(tau) != tau or tau < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {tau!r}")
+    tau1, tau2 = int(tau1), int(tau2)
     _require_centered(x)
     n = len(x)
     lag = max(tau1, tau2)
@@ -128,19 +128,14 @@ def power(x: Sequence) -> float:
     return float(np.mean(x.samples**2))
 
 
-def snr2_db(mixed, noise_ref) -> float | list[float]:
+def snr2_db(mixed: np.ndarray, noise_ref: np.ndarray) -> list[float]:
     """Output SNR: dB ratio of cumulant magnitudes against equal-power noise.
 
-    Takes two centered Sequences and returns a float, or two S x L stacks
-    of centered rows and returns S floats. Each pair must be power-matched
-    within 1% (callers normalize the reference). A reference whose own
-    third cumulant is at or below the stability floor cannot anchor the
-    ratio: a Sequence pair raises, a stack row gives NaN for redrawing.
+    Takes two S x L stacks of centered rows and returns S floats. Each row
+    pair must be power-matched within 1% (callers normalize the reference).
+    A reference row whose own third cumulant is at or below the stability
+    floor cannot anchor the ratio and gives NaN, for the caller to redraw.
     """
-    single = isinstance(mixed, Sequence)
-    if single:
-        _require_centered(mixed, noise_ref)
-        mixed, noise_ref = mixed.samples[None], noise_ref.samples[None]
     _check_centered(mixed)
     _check_centered(noise_ref)
     values = []
@@ -152,12 +147,9 @@ def snr2_db(mixed, noise_ref) -> float | list[float]:
     ):
         if abs(p_mixed - p_noise) > 0.01 * max(p_mixed, p_noise):
             raise HocdvsError(f"powers differ by more than 1%: {p_mixed:.6g} vs {p_noise:.6g}")
-        floor = NOISE_C3_FLOOR * p_noise**1.5
-        if abs(c3_noise) > floor:
+        if abs(c3_noise) > NOISE_C3_FLOOR * p_noise**1.5:
             ratio = abs(c3_mixed) / abs(c3_noise)
             values.append(float("-inf") if c3_mixed == 0.0 else 10.0 * math.log10(ratio))
-        elif single:
-            raise HocdvsError(f"|c3(noise)| = {abs(c3_noise):.3e} is below the floor {floor:.3e}")
         else:
             values.append(float("nan"))
-    return values[0] if single else values
+    return values

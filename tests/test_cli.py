@@ -4,6 +4,8 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +26,13 @@ from hocdvs import (
     mix_at_snr1,
     moving_average_profile,
     snr2_db,
+    stats,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
 from hocdvs.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_DETECTION, EXIT_OK, main
 from hocdvs.errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
-from hocdvs.experiments import PRESETS, run_preset, trace_config
+from hocdvs.experiments import PRESETS, run_preset, snr2_statistics, trace_config
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, read_traces, write_traces
 from hocdvs.synth import (
     SimConfig,
@@ -411,6 +414,18 @@ class TestExperiment:
         assert capsys.readouterr().err == "config error: request does not fit in memory\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("preset", ["fig2a_length_sweep", "fig2b_snr_sweep"])
+    def test_one_seed_output_snr_preset_has_zero_spread(self, tmp_path, capsys, preset):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["experiment", "--preset", preset, "--out", str(tmp_path),
+                         "--seeds", "3..3"])
+        assert code == EXIT_OK
+        rows = (tmp_path / f"{preset}.csv").read_text().splitlines()[1:]
+        assert rows and all(row.rsplit(",", 1)[1] == "0" for row in rows)
+        assert capsys.readouterr().err == ""
+        assert not caught
+
     def test_unknown_preset_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9_unknown", "--out", str(tmp_path)])
@@ -451,6 +466,12 @@ def _profile(values):
     return HocProfile(np.asarray(values, dtype=float), 100, 1.0, METHOD_HOC)
 
 
+def _exhaust_noise_references():
+    # with an infinite floor no reference anchors the ratio, so every redraw fails
+    with mock.patch.object(stats, "NOISE_C3_FLOOR", math.inf):
+        snr2_statistics(0.2, 20, 0.0, range(3))
+
+
 def _read_edited_trace_file(tmp_path, edit):
     path = tmp_path / "t.hocdvs"
     write_traces(path, _zeros(2, 3))
@@ -471,12 +492,10 @@ CONDITIONS = {
                          HocdvsError, "lag 2 >= sequence length 2"),
     "ZeroSignalError": (lambda tmp: mix_at_snr1(Sequence(np.zeros(10)), 0.0, np.ones(10)),
                         HocdvsError, "zero-power signal"),
-    "PowerMismatchError": (lambda tmp: snr2_db(_centered([1, -1]), _centered([3, -3])),
+    "PowerMismatchError": (lambda tmp: snr2_db(np.array([[1.0, -1.0]]), np.array([[3.0, -3.0]])),
                            HocdvsError, "powers differ by more than 1%"),
-    # an exactly symmetric, power-matched reference has c3 = 0
-    "DegenerateNoiseReferenceError": (lambda tmp: snr2_db(_centered([2, -1, -1]),
-                                                          _centered([-3**0.5, 0, 3**0.5])),
-                                      HocdvsError, "|c3(noise)| = 0.000e+00 is below the floor"),
+    "DegenerateNoiseReferenceError": (lambda tmp: _exhaust_noise_references(),
+                                      HocdvsError, "no stable noise reference in 64 attempts"),
     "EmptyRequestError": (lambda tmp: gen_truncated_gaussian(0, seed=0),
                           HocdvsError, "need at least one sample, got 0"),
     "BadIntervalError": (lambda tmp: asymmetrize(Sequence(np.zeros(1)), -1.0, -2.0),
