@@ -15,12 +15,15 @@ from pathlib import Path
 
 from . import detect, experiments, io_formats
 from .errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
-from .synth import config_digest, load_sim_config, synth_traces
+from .synth import PROVENANCE_SYNTHETIC, _trace_rows, config_digest, load_sim_config
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
 EXIT_NO_DETECTION = NoDetectionError.exit_code
 EXIT_IO = PersistenceError.exit_code
+
+# float64 bytes per chunk simulate synthesizes and writes (at least one row)
+_CHUNK_BYTES = 1 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,11 +77,12 @@ def _parse_seed_range(text: str) -> range:
 
 def cmd_simulate(config_path: str, out_path: str) -> int:
     cfg = load_sim_config(config_path)
-    traces = synth_traces(cfg)
-    io_formats.write_traces(out_path, traces)
+    chunks = _trace_rows(cfg, max(1, _CHUNK_BYTES // (8 * cfg.fiber_points)))
+    io_formats.write_trace_rows(out_path, (cfg.num_traces, cfg.fiber_points), cfg.meters_per_point,
+                                cfg.trace_rate_hz, PROVENANCE_SYNTHETIC, chunks)
     print(f"config_digest={config_digest(cfg)}")
     print(f"seed={cfg.seed}")
-    print(f"wrote {traces.num_traces}x{traces.fiber_points} traces to {out_path}")
+    print(f"wrote {cfg.num_traces}x{cfg.fiber_points} traces to {out_path}")
     return EXIT_OK
 
 

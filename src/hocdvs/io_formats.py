@@ -14,13 +14,14 @@ Trace file layout (little-endian throughout):
 
 Amplitudes are stored as float32: acquisition hardware is 8-14 bit, so
 single precision loses nothing while halving file size. Metadata stays
-float64.
+float64. The payload is written in row chunks; a failed write leaves no file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 from dataclasses import asdict
 
@@ -28,33 +29,36 @@ import numpy as np
 
 from .detect import DetectionReport, HocProfile
 from .errors import PersistenceError
-from .synth import PROVENANCE_RECORDED, PROVENANCE_SYNTHETIC, TraceMatrix
+from .synth import _PROVENANCES, TraceMatrix
 
 MAGIC = b"HOCDVS01"
 VERSION = 1
 _HEADER = struct.Struct("<8sIIIddB")
 HEADER_SIZE = _HEADER.size
 
-_PROVENANCE_CODES = {PROVENANCE_SYNTHETIC: 0, PROVENANCE_RECORDED: 1}
-_PROVENANCE_NAMES = {code: name for name, code in _PROVENANCE_CODES.items()}
-
 
 def write_traces(path, traces: TraceMatrix) -> None:
     """Write a trace matrix; read_traces inverts it within float32 rounding."""
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        traces.num_traces,
-        traces.fiber_points,
-        traces.meters_per_point,
-        traces.trace_rate_hz,
-        _PROVENANCE_CODES[traces.provenance],
-    )
-    payload = np.ascontiguousarray(traces.amplitudes, dtype="<f4")
+    write_trace_rows(path, traces.amplitudes.shape, traces.meters_per_point,
+                     traces.trace_rate_hz, traces.provenance, [traces.amplitudes])
+
+
+def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, provenance, chunks) -> None:
+    """Write a W x M trace file from row chunks. When a chunk or a write fails,
+    the file is removed if fstat shows a regular file, so /dev/null stays."""
+    header = _HEADER.pack(MAGIC, VERSION, *shape, meters_per_point, trace_rate_hz,
+                          _PROVENANCES.index(provenance))
     try:
         with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+            try:
+                fh.write(header)
+                for chunk in chunks:
+                    fh.write(np.ascontiguousarray(chunk, dtype="<f4"))
+                fh.flush()
+            except BaseException:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.unlink(path)
+                raise
     except OSError as exc:
         raise PersistenceError(f"cannot write traces to {path}: {exc}") from exc
 
@@ -86,7 +90,7 @@ def read_traces(path, digest=None) -> TraceMatrix:
             amplitudes=amplitudes,
             meters_per_point=mpp,
             trace_rate_hz=rate,
-            provenance=_PROVENANCE_NAMES[prov_code],
+            provenance=_PROVENANCES[prov_code],
         )
     except ValueError as exc:
         raise PersistenceError(f"{path}: {exc}") from exc
@@ -104,7 +108,7 @@ def _parse_header(header: bytes, source):
         raise PersistenceError(
             f"bad dimensions {num_traces} x {fiber_points} in header"
         )
-    if prov_code not in _PROVENANCE_NAMES:
+    if prov_code >= len(_PROVENANCES):
         raise PersistenceError(f"unknown provenance code {prov_code}")
     return (num_traces, fiber_points), mpp, rate, prov_code
 

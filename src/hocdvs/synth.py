@@ -17,8 +17,9 @@ drive sampled on the trace repetition clock. Detector noise is additive
 white Gaussian per sample; polarization drift is a per-trace Gaussian
 factor (1 + eta) multiplying the whole optical amplitude.
 
-All generation is single-threaded per call and fully determined by the
-config, including its seed.
+All generation is single-threaded and fully determined by the config,
+seed included. A trace matrix also comes in row chunks, equal bit for bit
+at any chunk size, so `hocdvs simulate` can write a file beyond memory.
 """
 
 from __future__ import annotations
@@ -38,13 +39,17 @@ from .stats import Sequence, _freeze, power
 TRUNCATION_LIMIT = 3.46
 
 PROVENANCE_SYNTHETIC = "synthetic"
-PROVENANCE_RECORDED = "recorded"
-_PROVENANCES = (PROVENANCE_SYNTHETIC, PROVENANCE_RECORDED)
+_PROVENANCES = (PROVENANCE_SYNTHETIC, "recorded")  # each one's index is its trace-file code
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
+
+
+def _check_fiber_extent(meters_per_point: float, fiber_points: int, error: type) -> None:
+    if not math.isfinite(meters_per_point * fiber_points):
+        raise error("fiber extent meters_per_point * fiber_points must be finite")
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class SquareWaveSpec:
                 f"duty {self.duty} over period {self.period_samples} rounds "
                 "to zero high samples"
             )
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
 
     @property
     def high_samples(self) -> int:
@@ -105,25 +112,20 @@ class SimConfig:
             (self.pulse_width_points >= 1, "pulse_width_points must be >= 1"),
             (self.pulse_width_points < 2**63, "pulse_width_points must be < 2**63"),
             (_finite_positive(self.meters_per_point), "meters_per_point must be finite and > 0"),
-            (
-                # bounded first: a larger int may overflow the float product
-                1 <= self.fiber_points < 2**32
-                and math.isfinite(self.meters_per_point * self.fiber_points),
-                "fiber extent meters_per_point * fiber_points must be finite",
-            ),
             (_finite_positive(self.trace_rate_hz), "trace_rate_hz must be finite and > 0"),
             (
                 0 <= self.vibration_point < self.fiber_points,
                 "vibration_point must lie on the fiber",
             ),
             (0.0 <= self.vibration_depth <= 1.0, "vibration_depth must be in [0, 1]"),
-            (self.noise_sigma >= 0, "noise_sigma must be >= 0"),
-            (self.sop_sigma >= 0, "sop_sigma must be >= 0"),
+            (0 <= self.noise_sigma < math.inf, "noise_sigma must be finite and >= 0"),
+            (0 <= self.sop_sigma < math.inf, "sop_sigma must be finite and >= 0"),
             (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        _check_fiber_extent(self.meters_per_point, self.fiber_points, ConfigError)
 
 
 _AMPLITUDE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -158,8 +160,7 @@ class TraceMatrix:
             raise ValueError("amplitudes must be finite")
         if not (_finite_positive(self.meters_per_point) and _finite_positive(self.trace_rate_hz)):
             raise ValueError("meters_per_point and trace_rate_hz must be finite and > 0")
-        if not math.isfinite(self.meters_per_point * arr.shape[1]):
-            raise ValueError("fiber extent meters_per_point * fiber_points must be finite")
+        _check_fiber_extent(self.meters_per_point, arr.shape[1], ValueError)
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "amplitudes", _freeze(arr, self.amplitudes))
@@ -232,11 +233,20 @@ def mix_at_snr1(signal: Sequence, snr1_db: float, noise: np.ndarray) -> np.ndarr
 
 
 def synth_traces(cfg: SimConfig) -> TraceMatrix:
-    """Generate one seeded trace matrix under the amplitude-level model.
+    """Generate one seeded trace matrix under the amplitude-level model."""
+    (amplitudes,) = _trace_rows(cfg, cfg.num_traces)
+    amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
+    return TraceMatrix(
+        amplitudes=amplitudes,
+        meters_per_point=cfg.meters_per_point,
+        trace_rate_hz=cfg.trace_rate_hz,
+    )
 
-    Draw order is fixed (scatterer phases, polarization factors, detector
-    noise), so identical configs give bit-identical matrices.
-    """
+
+def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
+    """Yield the trace matrix as fresh float64 chunks of rows_per_chunk traces
+    (the last may be shorter), each within the float32 range of trace files,
+    drawing phases, polarization factors, then noise chunk by chunk."""
     rng = np.random.default_rng(cfg.seed)
     m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
 
@@ -250,24 +260,20 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
     kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
     drive = gen_square_wave(w, cfg.vibration).samples
     event_amplitude = cfg.vibration_depth * baseline[p]
-    with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
-        amplitudes = sop[:, None] * baseline
-        amplitudes[:, lo:hi] = sop[:, None] * (
-            baseline[lo:hi] + event_amplitude * kernel * drive[:, None]
-        )
-        noise = rng.standard_normal(size=(w, m))
-        noise *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
-        amplitudes += noise
-    # NaN fails both comparisons, as does anything a trace file cannot store
-    if not (-_FLOAT32_MAX <= amplitudes.min() and amplitudes.max() <= _FLOAT32_MAX):
-        raise ConfigError("config drives amplitudes beyond the float32 range of trace files")
-    amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
-    return TraceMatrix(
-        amplitudes=amplitudes,
-        meters_per_point=cfg.meters_per_point,
-        trace_rate_hz=cfg.trace_rate_hz,
-        provenance=PROVENANCE_SYNTHETIC,
-    )
+    for start in range(0, w, rows_per_chunk):
+        rows = slice(start, min(start + rows_per_chunk, w))
+        chunk = rng.standard_normal(size=(rows.stop - start, m))
+        with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
+            chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
+            clean = sop[rows, None] * baseline
+            clean[:, lo:hi] = sop[rows, None] * (
+                baseline[lo:hi] + event_amplitude * kernel * drive[rows, None]
+            )
+            chunk += clean  # noise + clean is clean + noise bit for bit
+        # NaN fails both comparisons, as does anything a trace file cannot store
+        if not (-_FLOAT32_MAX <= chunk.min() and chunk.max() <= _FLOAT32_MAX):
+            raise ConfigError("config drives amplitudes beyond the float32 range of trace files")
+        yield chunk
 
 
 # --- plain-text config files ---------------------------------------------------

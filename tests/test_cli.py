@@ -27,12 +27,19 @@ from hocdvs import (
     moving_average_profile,
     snr2_db,
     stats,
+    synth_traces,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
 from hocdvs.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_DETECTION, EXIT_OK, main
 from hocdvs.errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
-from hocdvs.experiments import PRESETS, run_preset, snr2_statistics, trace_config
+from hocdvs.experiments import (
+    DUTY_CYCLES,
+    PRESETS,
+    run_preset,
+    snr2_statistics,
+    trace_config,
+)
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, read_traces, write_traces
 from hocdvs.synth import (
     SimConfig,
@@ -69,6 +76,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
         assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("duty", DUTY_CYCLES)
+    def test_streamed_file_equals_written_matrix(self, tmp_path, config_file, duty):
+        # 1500 points stream in chunks of 87 traces, so the last of 100 holds 13
+        assert 100 % (cli._CHUNK_BYTES // (8 * 1500)) != 0
+        out, ref = tmp_path / "run.hocdvs", tmp_path / "ref.hocdvs"
+        code = main(["simulate", "--config", str(config_file(duty, 7)), "--out", str(out)])
+        assert code == EXIT_OK
+        write_traces(ref, synth_traces(trace_config(duty, 7)))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_missing_key_exits_2_and_names_key(self, tmp_path, capsys):
         cfg = trace_config(0.2, seed=1)
@@ -157,13 +174,14 @@ class TestSimulate:
 
     def test_matrix_beyond_memory_is_config_error(self, tmp_path, config_file, capsys,
                                                   monkeypatch):
-        # stands in for a config such as 2**31 points x 4 traces, which
-        # passes every check and then cannot be allocated
-        def unallocatable(cfg):
-            raise MemoryError("Unable to allocate 64.0 GiB for an array with shape "
-                              "(4, 2147483648) and data type float64")
+        # stands in for a config such as 2**31 points, which passes every
+        # check and then cannot allocate a single row
+        def unallocatable(cfg, rows_per_chunk):
+            raise MemoryError("Unable to allocate 16.0 GiB for an array with shape "
+                              "(2147483648,) and data type float64")
+            yield  # a generator, as the row source it stands in for
 
-        monkeypatch.setattr(cli, "synth_traces", unallocatable)
+        monkeypatch.setattr(cli, "_trace_rows", unallocatable)
         out = tmp_path / "x.hocdvs"
         code = main(["simulate", "--config", str(config_file()), "--out", str(out)])
         assert code == EXIT_CONFIG

@@ -20,8 +20,8 @@ from hocdvs import (
     write_traces,
 )
 from hocdvs.detect import METHOD_HOC, METHOD_MOVING_DIFFERENTIAL
-from hocdvs.errors import PersistenceError
-from hocdvs.io_formats import HEADER_SIZE, MAGIC
+from hocdvs.errors import ConfigError, PersistenceError
+from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
 
 F32_EPS = float(np.finfo(np.float32).eps)
 
@@ -49,6 +49,24 @@ class TestTraceFile:
         assert out.trace_rate_hz == 5000.0
         assert out.provenance == "recorded"
         np.testing.assert_array_equal(out.amplitudes, src.amplitudes)
+
+    def test_provenance_code_in_header(self, tmp_path):
+        for code, provenance in enumerate(("synthetic", "recorded")):
+            path = tmp_path / f"{provenance}.hocdvs"
+            write_traces(path, small_matrix([[1.0]], provenance=provenance))
+            assert path.read_bytes()[HEADER_SIZE - 1] == code
+
+    def test_failed_chunk_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield np.ones((2, 3))
+            raise ConfigError("chunk failed")
+
+        fresh, existing = tmp_path / "fresh.hocdvs", tmp_path / "existing.hocdvs"
+        existing.write_bytes(b"an earlier file")
+        for path in (fresh, existing):
+            with pytest.raises(ConfigError, match="chunk failed"):
+                write_trace_rows(path, (4, 3), 1.0, 10000.0, "synthetic", chunks())
+            assert not path.exists()
 
     def test_round_trip_within_float32_ulp(self, tmp_path):
         rng = np.random.default_rng(0)

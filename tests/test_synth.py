@@ -27,7 +27,7 @@ from hocdvs import (
 )
 from hocdvs.errors import ConfigError, HocdvsError
 from hocdvs.experiments import ASYMMETRY_INTERVALS, trace_config
-from hocdvs.synth import TRUNCATION_LIMIT
+from hocdvs.synth import TRUNCATION_LIMIT, _trace_rows
 
 
 class TestTruncatedGaussian:
@@ -261,8 +261,13 @@ class TestSynthTraces:
     def test_matches_full_matrix_formula(self, overrides):
         cfg = trace_config(0.3, seed=9, fiber_points=60, num_traces=24,
                            **{"vibration_point": 30, **overrides})
-        got = synth_traces(cfg).amplitudes
-        assert got.tobytes() == full_matrix_amplitudes(cfg).tobytes()
+        expected = full_matrix_amplitudes(cfg).tobytes()
+        assert synth_traces(cfg).amplitudes.tobytes() == expected
+        # the row chunks simulate streams concatenate to the same matrix
+        for rows_per_chunk in (1, 5, cfg.num_traces):
+            chunks = list(_trace_rows(cfg, rows_per_chunk))
+            assert [len(c) for c in chunks[:-1]] == [rows_per_chunk] * (len(chunks) - 1)
+            assert np.concatenate(chunks).tobytes() == expected
 
     def test_float32_overflow_is_a_config_error(self):
         cfg = trace_config(0.3, seed=9, fiber_points=60, vibration_point=30,
@@ -273,6 +278,18 @@ class TestSynthTraces:
     def test_bad_geometry(self):
         with pytest.raises(ConfigError, match="vibration_point must lie on the fiber"):
             trace_config(0.2, seed=0, vibration_point=1500)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("key, error", [
+        ("meters_per_point", ConfigError), ("trace_rate_hz", ConfigError),
+        ("vibration_depth", ConfigError), ("noise_sigma", ConfigError),
+        ("sop_sigma", ConfigError), ("vibration.duty", ValueError),
+        ("vibration.amplitude", ValueError),
+    ])
+    def test_non_finite_real_is_rejected_and_named(self, key, error, value):
+        # format_sim_config would render it as text parse_sim_config rejects
+        with pytest.raises(error, match=key.rpartition(".")[2]):
+            trace_config(0.2, seed=0, **{key: value})
 
 
 class TestConfigFiles:
