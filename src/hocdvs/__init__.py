@@ -32,8 +32,6 @@ from .io_formats import (
 from .stats import (
     Sequence,
     center,
-    power,
-    snr2_db,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
 )
@@ -47,7 +45,6 @@ from .synth import (
     gen_square_wave,
     gen_truncated_gaussian,
     load_sim_config,
-    mix_at_snr1,
     parse_sim_config,
     synth_traces,
 )
@@ -75,14 +72,11 @@ __all__ = [
     "load_sim_config",
     "locate_peak",
     "location_snr",
-    "mix_at_snr1",
     "moving_average_profile",
     "moving_differential_profile",
     "parse_sim_config",
-    "power",
     "read_profile_csv",
     "read_traces",
-    "snr2_db",
     "spatial_resolution",
     "synth_traces",
     "third_cumulant_lagged",

@@ -147,7 +147,7 @@ def main(argv=None) -> int:
                 guard=args.guard,
                 min_snr_db=args.min_snr_db,
             )
-        seeds = _parse_seed_range(args.seeds) if args.seeds else None
+        seeds = None if args.seeds is None else _parse_seed_range(args.seeds)
         return cmd_experiment(args.preset, args.out, seeds=seeds)
     except HocdvsError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

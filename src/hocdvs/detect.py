@@ -7,6 +7,14 @@ which stays near zero for symmetric residuals and responds strongly to
 the skewed residuals a non-50%-duty drive produces. The baseline methods
 reduce the same window with consecutive-trace absolute differences
 instead.
+
+Three qualifications. Symmetric residuals average out of the cumulant's
+mean, not its spread: the spread grows as sigma**3, so a symmetric event
+of high variance still leaves a peak. Location SNR in dB scales with the
+statistic's degree: the cube root of hoc's profile reads about a third
+of hoc's dB (23-26 against 65-75 dB at trace scale). The ~0.63 ratio of
+hoc's 10-90% rise to mdiff's is the cube reshaping one edge: the cube
+root of the same profile gives 1.000 on noise-free traces.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ class HocProfile:
             raise ValueError("meters_per_point must be finite and > 0")
         if self.method not in METHOD_ALIASES.values():
             raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "values", _freeze(arr, self.values))
+        object.__setattr__(self, "values", _freeze(arr))
 
     @property
     def fiber_points(self) -> int:

@@ -5,18 +5,22 @@ the detector and writes sorted CSV/JSON data files; plotting is left to
 external tools. Reruns with the same seeds are byte-identical, and every
 run records its seed list (and config digests where applicable) in a
 run_meta.json next to the data.
+
+Both SNR definitions of the fig2 presets live here: the input SNR of
+`mix_at_snr1` (DC included) and the output SNR of `snr2_db`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from . import detect, io_formats
 from .errors import ConfigError, HocdvsError, NoEdgeError
-from .stats import Sequence, mean_cube, snr2_db
+from .stats import _check_centered, mean_cube_axis0
 from .synth import (
     SimConfig,
     SquareWaveSpec,
@@ -26,7 +30,6 @@ from .synth import (
     config_digest,
     gen_square_wave,
     gen_truncated_gaussian,
-    mix_at_snr1,
     synth_traces,
 )
 
@@ -66,20 +69,21 @@ TRACE_GUARD = 3 * TRACE_PULSE_POINTS
 
 _MAX_REFERENCE_RETRIES = 64
 
+# Degenerate-reference floor: |c3(noise)| must exceed this times power^(3/2).
+NOISE_C3_FLOOR = 1e-3
+
 
 def derive_seed(*parts: int) -> int:
     """Stable child seed from integer coordinates."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _symmetric_base(seed: int) -> Sequence:
+def _symmetric_base(seed: int) -> np.ndarray:
     """The base K1: a truncated-Gaussian half sample h laid out as [h, -h],
     plus one 0.0 when REFERENCE_LENGTH is odd, so no sampling skew of i.i.d.
     draws remains."""
-    half = gen_truncated_gaussian(REFERENCE_LENGTH // 2, seed).samples
-    samples = np.concatenate([half, -half, np.zeros(REFERENCE_LENGTH % 2)])
-    samples.setflags(write=False)
-    return Sequence(samples)
+    half = gen_truncated_gaussian(REFERENCE_LENGTH // 2, seed)
+    return np.concatenate([half, -half, np.zeros(REFERENCE_LENGTH % 2)])
 
 
 def asymmetry_sweep(seeds) -> np.ndarray:
@@ -87,15 +91,17 @@ def asymmetry_sweep(seeds) -> np.ndarray:
 
     K1 is a symmetrized truncated-Gaussian sample (`_symmetric_base`), so
     its mean cube is zero to rounding and each K2..K6 column is exactly the
-    mean cube induced by mirroring its value interval.
+    mean cube induced by mirroring its value interval. The mean cube is
+    taken about zero, not about the sample mean: the mean shift that
+    mirroring produces is part of the asymmetry being measured.
     """
     seeds = list(seeds)
     out = np.empty((len(seeds), 1 + len(ASYMMETRY_INTERVALS)))
     for row, seed in enumerate(seeds):
         base = _symmetric_base(seed)
-        out[row, 0] = mean_cube(base)
+        out[row, 0] = mean_cube_axis0(base)
         for col, (lo, hi) in enumerate(ASYMMETRY_INTERVALS, start=1):
-            out[row, col] = mean_cube(asymmetrize(base, lo, hi))
+            out[row, col] = mean_cube_axis0(asymmetrize(base, lo, hi))
     return out
 
 
@@ -105,6 +111,48 @@ def _draw_streams(seeds, length: int) -> tuple[np.ndarray, np.ndarray]:
     noise = [np.random.default_rng(derive_seed(s, 1)).standard_normal(length) for s in seeds]
     refs = [np.random.default_rng([s, 2, 0]).standard_normal(length) for s in seeds]
     return np.reshape(noise, (-1, length)), np.reshape(refs, (-1, length))
+
+
+def mix_at_snr1(signal: np.ndarray, snr1_db: float, noise: np.ndarray) -> np.ndarray:
+    """Add white Gaussian noise, one row or an S x signal.size stack of
+    draws, each row scaled so its realized power ratio is exact: the gain
+    is set from realized mean squares, DC included, so signal over scaled
+    row is snr1_db in dB to rounding, not just in expectation."""
+    if noise.shape[-1] != signal.size:
+        raise ValueError(f"noise rows need {signal.size} samples, got shape {noise.shape}")
+    p_signal = float(np.mean(signal**2))
+    if p_signal == 0.0:
+        raise HocdvsError("cannot set an SNR against a zero-power signal")
+    p_raw = np.mean(noise**2, axis=-1, keepdims=True)
+    gain = np.sqrt(p_signal * 10.0 ** (-snr1_db / 10.0) / p_raw)
+    return signal + gain * noise
+
+
+def snr2_db(mixed: np.ndarray, noise_ref: np.ndarray) -> list[float]:
+    """Output SNR: dB ratio of cumulant magnitudes against equal-power noise.
+
+    Takes two S x L stacks of centered rows and returns S floats. Each row
+    pair must be power-matched within 1% (callers normalize the reference).
+    A reference row whose own third cumulant is at or below the stability
+    floor cannot anchor the ratio and gives NaN, for the caller to redraw.
+    """
+    _check_centered(mixed)
+    _check_centered(noise_ref)
+    values = []
+    for p_mixed, p_noise, c3_mixed, c3_noise in zip(
+        np.mean(mixed**2, axis=1).tolist(),
+        np.mean(noise_ref**2, axis=1).tolist(),
+        mean_cube_axis0(mixed.T).tolist(),
+        mean_cube_axis0(noise_ref.T).tolist(),
+    ):
+        if abs(p_mixed - p_noise) > 0.01 * max(p_mixed, p_noise):
+            raise HocdvsError(f"powers differ by more than 1%: {p_mixed:.6g} vs {p_noise:.6g}")
+        if abs(c3_noise) > NOISE_C3_FLOOR * p_noise**1.5:
+            ratio = abs(c3_mixed) / abs(c3_noise)
+            values.append(float("-inf") if c3_mixed == 0.0 else 10.0 * math.log10(ratio))
+        else:
+            values.append(float("nan"))
+    return values
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -319,8 +367,10 @@ def run_preset(name: str, out_dir, seeds=None) -> list[Path]:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
     runner, default_seeds = PRESETS[name]
-    # an unallocatable seed list fails here, before any directory exists
+    # an unallocatable or empty seed list fails here, before any directory exists
     seeds = default_seeds if seeds is None else tuple(seeds)
+    if not seeds:
+        raise ConfigError(f"preset {name!r} needs at least one seed")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     return runner(out_path, seeds)

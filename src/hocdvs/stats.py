@@ -1,16 +1,15 @@
-"""Moment and cumulant estimators on finite real sequences.
+"""Third-cumulant estimators on finite real sequences.
 
 The third-order cumulant of a zero-mean sequence is the mean of triple
 products; it vanishes for any distribution that is symmetric about zero,
 so it separates skewed signals from Gaussian-like noise. Every estimator
 here demands explicitly centered input: centering travels with the data
 as a flag, and a forgotten centering step fails loudly instead of
-silently biasing the estimate.
+silently biasing the estimate; `mean_cube_axis0` is their shared kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +19,11 @@ from .errors import HocdvsError
 # |mean| must stay below this times max(1, max|sample|) for centered data.
 CENTER_TOL = 1e-12
 
-# Degenerate-reference floor: |c3(noise)| must exceed this times power^(3/2).
-NOISE_C3_FLOOR = 1e-3
 
-
-def _freeze(arr: np.ndarray, source) -> np.ndarray:
-    """Return arr read-only, copying it unless it owns its data and no caller
-    can write to it: asarray or astype has just made it from source, or it
-    is source and arrived read-only."""
-    if not arr.flags.owndata or (arr is source and arr.flags.writeable):
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Return arr read-only, copying it unless it owns its data and is
+    already read-only, so no caller can write to the result."""
+    if not arr.flags.owndata or arr.flags.writeable:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -57,7 +52,7 @@ class Sequence:
             raise HocdvsError("sequence must contain at least one sample")
         if self.centered:
             _check_centered(arr)
-        object.__setattr__(self, "samples", _freeze(arr, self.samples))
+        object.__setattr__(self, "samples", _freeze(arr))
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -107,49 +102,7 @@ def mean_cube_axis0(values: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...,i...->...", values, values, values) / values.shape[0]
 
 
-def mean_cube(x: Sequence) -> float:
-    """Third moment about zero, without re-centering.
-
-    The asymmetry references are built on a support that is symmetric
-    about zero, so the raw mean shift produced by mirroring an interval
-    is part of the asymmetry being measured, not an offset to remove.
-    """
-    return float(mean_cube_axis0(x.samples))
-
-
 def third_cumulant_zero_lag(x: Sequence) -> float:
     """Mean cube of a centered sequence (both lags zero)."""
     _require_centered(x)
-    return mean_cube(x)
-
-
-def power(x: Sequence) -> float:
-    """Mean square of the samples."""
-    return float(np.mean(x.samples**2))
-
-
-def snr2_db(mixed: np.ndarray, noise_ref: np.ndarray) -> list[float]:
-    """Output SNR: dB ratio of cumulant magnitudes against equal-power noise.
-
-    Takes two S x L stacks of centered rows and returns S floats. Each row
-    pair must be power-matched within 1% (callers normalize the reference).
-    A reference row whose own third cumulant is at or below the stability
-    floor cannot anchor the ratio and gives NaN, for the caller to redraw.
-    """
-    _check_centered(mixed)
-    _check_centered(noise_ref)
-    values = []
-    for p_mixed, p_noise, c3_mixed, c3_noise in zip(
-        np.mean(mixed**2, axis=1).tolist(),
-        np.mean(noise_ref**2, axis=1).tolist(),
-        mean_cube_axis0(mixed.T).tolist(),
-        mean_cube_axis0(noise_ref.T).tolist(),
-    ):
-        if abs(p_mixed - p_noise) > 0.01 * max(p_mixed, p_noise):
-            raise HocdvsError(f"powers differ by more than 1%: {p_mixed:.6g} vs {p_noise:.6g}")
-        if abs(c3_noise) > NOISE_C3_FLOOR * p_noise**1.5:
-            ratio = abs(c3_mixed) / abs(c3_noise)
-            values.append(float("-inf") if c3_mixed == 0.0 else 10.0 * math.log10(ratio))
-        else:
-            values.append(float("nan"))
-    return values
+    return float(mean_cube_axis0(x.samples))

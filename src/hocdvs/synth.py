@@ -1,9 +1,9 @@
 """Seeded generators for synthetic sensing inputs.
 
-One-dimensional references: truncated standard-normal sequences, the same
-sequences with a chosen value interval mirrored to the opposite sign
-(controlled asymmetry), offset square waves, and square-wave-plus-noise
-mixtures at an exact realized input SNR.
+One-dimensional references, as plain float64 arrays: truncated
+standard-normal sequences, the same sequences with a chosen value interval
+mirrored to the opposite sign (controlled asymmetry), and offset square
+waves.
 
 Trace matrices follow an amplitude-level model of a coherently probed
 fiber. Each fiber point carries a unit scatterer with a uniform random
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, HocdvsError, PersistenceError
-from .stats import Sequence, _freeze, power
+from .stats import _freeze
 
 # Domain of the truncated standard normal; about 0.054% of raw draws fall
 # outside and are rejected.
@@ -163,7 +163,7 @@ class TraceMatrix:
         _check_fiber_extent(self.meters_per_point, arr.shape[1], ValueError)
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        object.__setattr__(self, "amplitudes", _freeze(arr, self.amplitudes))
+        object.__setattr__(self, "amplitudes", _freeze(arr))
 
     @property
     def num_traces(self) -> int:
@@ -174,7 +174,7 @@ class TraceMatrix:
         return int(self.amplitudes.shape[1])
 
 
-def gen_truncated_gaussian(n: int, seed: int) -> Sequence:
+def gen_truncated_gaussian(n: int, seed: int) -> np.ndarray:
     """n standard-normal draws, rejection-resampled into the truncation window."""
     if n < 1:
         raise HocdvsError(f"need at least one sample, got {n}")
@@ -186,11 +186,10 @@ def gen_truncated_gaussian(n: int, seed: int) -> Sequence:
         keep = draw[np.abs(draw) <= TRUNCATION_LIMIT]
         out[filled : filled + keep.size] = keep
         filled += keep.size
-    out.setflags(write=False)  # fresh, so Sequence takes it over without a copy
-    return Sequence(out)
+    return out
 
 
-def asymmetrize(x: Sequence, lo: float, hi: float) -> Sequence:
+def asymmetrize(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Mirror every sample in the half-open interval [lo, hi) to its negation.
 
     Length is preserved and exactly the interval's probability mass moves
@@ -204,32 +203,13 @@ def asymmetrize(x: Sequence, lo: float, hi: float) -> Sequence:
             f"interval [{lo}, {hi}) exceeds "
             f"the truncation window [-{TRUNCATION_LIMIT}, {TRUNCATION_LIMIT}]"
         )
-    out = np.where((x.samples >= lo) & (x.samples < hi), -x.samples, x.samples)
-    out.setflags(write=False)
-    return Sequence(out)
+    return np.where((x >= lo) & (x < hi), -x, x)
 
 
-def gen_square_wave(n: int, spec: SquareWaveSpec) -> Sequence:
+def gen_square_wave(n: int, spec: SquareWaveSpec) -> np.ndarray:
     """Periodic offset square wave of n samples."""
     idx = (np.arange(n) - spec.phase_samples % spec.period_samples) % spec.period_samples
-    samples = np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
-    samples.setflags(write=False)
-    return Sequence(samples)
-
-
-def mix_at_snr1(signal: Sequence, snr1_db: float, noise: np.ndarray) -> np.ndarray:
-    """Add white Gaussian noise, one row or an S x len(signal) stack of
-    draws, each row scaled so its realized power ratio is exact: the gain
-    is set from the realized sample powers, so 10*log10(power(signal) /
-    power(scaled row)) equals snr1_db to rounding, not just in expectation."""
-    if noise.shape[-1] != len(signal):
-        raise ValueError(f"noise rows need {len(signal)} samples, got shape {noise.shape}")
-    p_signal = power(signal)
-    if p_signal == 0.0:
-        raise HocdvsError("cannot set an SNR against a zero-power signal")
-    p_raw = np.mean(noise**2, axis=-1, keepdims=True)
-    gain = np.sqrt(p_signal * 10.0 ** (-snr1_db / 10.0) / p_raw)
-    return signal.samples + gain * noise
+    return np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
 
 
 def synth_traces(cfg: SimConfig) -> TraceMatrix:
@@ -258,7 +238,7 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
     # the kernel is exactly 0 outside |m - p| < pw, where clean == baseline
     lo, hi = max(p - pw + 1, 0), min(p + pw, m)
     kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
-    drive = gen_square_wave(w, cfg.vibration).samples
+    drive = gen_square_wave(w, cfg.vibration)
     event_amplitude = cfg.vibration_depth * baseline[p]
     for start in range(0, w, rows_per_chunk):
         rows = slice(start, min(start + rows_per_chunk, w))

@@ -19,14 +19,12 @@ from hocdvs import (
     asymmetrize,
     cli,
     errors,
+    experiments,
     gen_truncated_gaussian,
     hoc_profile,
     locate_peak,
     location_snr,
-    mix_at_snr1,
     moving_average_profile,
-    snr2_db,
-    stats,
     synth_traces,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
@@ -36,7 +34,9 @@ from hocdvs.errors import ConfigError, HocdvsError, NoDetectionError, Persistenc
 from hocdvs.experiments import (
     DUTY_CYCLES,
     PRESETS,
+    mix_at_snr1,
     run_preset,
+    snr2_db,
     snr2_statistics,
     trace_config,
 )
@@ -403,6 +403,16 @@ class TestExperiment:
                      "--out", str(tmp_path), "--seeds", "5"])
         assert code == EXIT_CONFIG
 
+    def test_empty_seed_range_is_config_error_not_the_default_list(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        code = main(["experiment", "--preset", "fig2a_length_sweep", "--out", str(out_dir),
+                     "--seeds", ""])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: seed range must look like a..b, got ''\n"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("preset", list(PRESETS))
     @pytest.mark.parametrize("seeds", ["-3..-1", "-1..2", f"0..{10**30}"])
     def test_seed_range_outside_the_seedable_or_sizable_is_config_error(
@@ -486,7 +496,7 @@ def _profile(values):
 
 def _exhaust_noise_references():
     # with an infinite floor no reference anchors the ratio, so every redraw fails
-    with mock.patch.object(stats, "NOISE_C3_FLOOR", math.inf):
+    with mock.patch.object(experiments, "NOISE_C3_FLOOR", math.inf):
         snr2_statistics(0.2, 20, 0.0, range(3))
 
 
@@ -508,7 +518,7 @@ CONDITIONS = {
                          HocdvsError, "argument 1 is not centered"),
     "LagTooLargeError": (lambda tmp: third_cumulant_lagged(_centered([1, -1]), 2, 0),
                          HocdvsError, "lag 2 >= sequence length 2"),
-    "ZeroSignalError": (lambda tmp: mix_at_snr1(Sequence(np.zeros(10)), 0.0, np.ones(10)),
+    "ZeroSignalError": (lambda tmp: mix_at_snr1(np.zeros(10), 0.0, np.ones(10)),
                         HocdvsError, "zero-power signal"),
     "PowerMismatchError": (lambda tmp: snr2_db(np.array([[1.0, -1.0]]), np.array([[3.0, -3.0]])),
                            HocdvsError, "powers differ by more than 1%"),
@@ -516,7 +526,7 @@ CONDITIONS = {
                                       HocdvsError, "no stable noise reference in 64 attempts"),
     "EmptyRequestError": (lambda tmp: gen_truncated_gaussian(0, seed=0),
                           HocdvsError, "need at least one sample, got 0"),
-    "BadIntervalError": (lambda tmp: asymmetrize(Sequence(np.zeros(1)), -1.0, -2.0),
+    "BadIntervalError": (lambda tmp: asymmetrize(np.zeros(1), -1.0, -2.0),
                          HocdvsError, "empty interval"),
     "BadConfigError": (lambda tmp: parse_sim_config("mystery = 1\n"),
                        ConfigError, "unknown key 'mystery'"),

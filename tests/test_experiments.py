@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hocdvs import stats
+from hocdvs import experiments
 from hocdvs.errors import ConfigError, HocdvsError
 from hocdvs.experiments import (
     ASYMMETRY_INTERVALS,
     DUTY_CYCLES,
+    PRESETS,
     SNR2_PERIOD,
     SWEEP_LENGTHS,
     _draw_streams,
@@ -20,7 +21,7 @@ from hocdvs.experiments import (
     snr2_statistics,
     trace_config,
 )
-from hocdvs.stats import Sequence, mean_cube, mean_cube_axis0
+from hocdvs.stats import mean_cube_axis0
 from hocdvs.synth import SquareWaveSpec, config_digest, gen_square_wave
 
 
@@ -31,8 +32,8 @@ def test_derive_seed_stable_and_distinct():
 
 
 def test_mean_cube_is_raw_third_moment():
-    x = Sequence(np.array([1.0, 2.0, -1.0]))
-    assert mean_cube(x) == pytest.approx((1.0 + 8.0 - 1.0) / 3.0)
+    x = np.array([1.0, 2.0, -1.0])
+    assert float(mean_cube_axis0(x)) == pytest.approx((1.0 + 8.0 - 1.0) / 3.0)
 
 
 def test_snr2_statistics_deterministic():
@@ -43,7 +44,7 @@ def reference_snr2(duty, length, snr1_db, seed):
     """One seed's (attempts used, output SNR in dB), by the per-seed
     arithmetic of the one-sample-at-a-time form the batched kernel replaced."""
     spec = SquareWaveSpec(duty=duty, period_samples=SNR2_PERIOD, amplitude=1.0)
-    wave = gen_square_wave(length, spec).samples
+    wave = gen_square_wave(length, spec)
     noise = np.random.default_rng(derive_seed(seed, 1)).standard_normal(length)
     p_raw = float(np.mean(noise**2))
     gain = np.sqrt(float(np.mean(wave**2)) * 10.0 ** (-snr1_db / 10.0) / p_raw)
@@ -56,7 +57,7 @@ def reference_snr2(duty, length, snr1_db, seed):
         ref = raw - raw.mean()
         ref = ref * np.sqrt(target_power / np.mean(ref**2))
         c3_noise = float(mean_cube_axis0(ref))
-        if abs(c3_noise) > stats.NOISE_C3_FLOOR * float(np.mean(ref**2)) ** 1.5:
+        if abs(c3_noise) > experiments.NOISE_C3_FLOOR * float(np.mean(ref**2)) ** 1.5:
             if c3_mixed == 0.0:
                 return attempt, float("-inf")
             return attempt, 10.0 * math.log10(abs(c3_mixed) / abs(c3_noise))
@@ -84,7 +85,7 @@ def test_kernel_matches_per_seed_reference_bit_for_bit(snr1_db):
 def test_kernel_redraws_only_degenerate_references(monkeypatch):
     # a floor near the spread of a 120-sample reference's skewness sends
     # many rows, and only those, through later attempts
-    monkeypatch.setattr(stats, "NOISE_C3_FLOOR", 0.2)
+    monkeypatch.setattr(experiments, "NOISE_C3_FLOOR", 0.2)
     seeds = list(range(60))
     expected, most_attempts = reference_statistics(0.2, 120, 0.0, seeds)
     assert most_attempts >= 2
@@ -92,7 +93,7 @@ def test_kernel_redraws_only_degenerate_references(monkeypatch):
 
 
 def test_kernel_exhausted_attempts_message(monkeypatch):
-    monkeypatch.setattr(stats, "NOISE_C3_FLOOR", math.inf)
+    monkeypatch.setattr(experiments, "NOISE_C3_FLOOR", math.inf)
     with pytest.raises(HocdvsError, match="^no stable noise reference in 64 attempts$") as exc:
         snr2_statistics(0.2, 20, 0.0, range(3))
     assert exc.type is HocdvsError
@@ -113,22 +114,6 @@ def test_trace_config_overrides():
     assert cfg.vibration.period_samples == 20
     assert cfg.vibration.duty == 0.3
     assert config_digest(cfg) != config_digest(trace_config(0.3, seed=2))
-
-
-def test_asymmetry_sweep_copies_no_array(monkeypatch):
-    # every producer marks its fresh array read-only, so Sequence takes it over
-    copied = []
-    freeze = stats._freeze
-
-    def counting(arr, source):
-        frozen = freeze(arr, source)
-        copied.append(frozen is not arr)
-        return frozen
-
-    monkeypatch.setattr(stats, "_freeze", counting)
-    asymmetry_sweep([0])
-    assert len(copied) == 2 + len(ASYMMETRY_INTERVALS)  # draw, base K1, K2..K6
-    assert not any(copied)
 
 
 def test_asymmetry_sweep_shape_and_base_column():
@@ -161,6 +146,14 @@ def test_localization_sweep_rows():
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset 'fig3_mystery'"):
         run_preset("fig3_mystery", "/tmp/never")
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_empty_seed_list_is_config_error_before_any_output(tmp_path, preset):
+    out_dir = tmp_path / "o"
+    with pytest.raises(ConfigError, match=f"^preset '{preset}' needs at least one seed$"):
+        run_preset(preset, out_dir, seeds=[])
+    assert not out_dir.exists()
 
 
 def test_fig1_preset_emits_ordered_csv(tmp_path):
