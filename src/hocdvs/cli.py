@@ -27,6 +27,8 @@ _CHUNK_BYTES = 1 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on each call, so each subcommand runs the `cmd_*` this module
+    holds at that time (tests and perfbench's spans replace them)."""
     parser = argparse.ArgumentParser(
         prog="hocdvs",
         description="Simulate fiber backscattering traces and localize "
@@ -37,24 +39,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthesize a trace file from a config")
     p_sim.add_argument("--config", required=True, help="key = value config file")
     p_sim.add_argument("--out", required=True, help="output trace file path")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="detect and localize an event in a trace file")
     p_ana.add_argument("--traces", required=True, help="input trace file")
     p_ana.add_argument("--method", required=True, choices=sorted(detect.METHOD_ALIASES))
     p_ana.add_argument("--window", required=True, type=int, help="traces per window")
     p_ana.add_argument("--out", required=True, help="output directory")
-    p_ana.add_argument("--avg-len", type=int, default=5,
-                       help="block length for mavg (default 5)")
+    p_ana.add_argument("--avg-len", type=int, default=experiments.TRACE_AVG_LEN,
+                       help="block length for mavg (default %(default)s)")
     p_ana.add_argument("--guard", type=int, default=experiments.TRACE_GUARD,
                        help="background guard band in points (default %(default)s)")
     p_ana.add_argument("--min-snr-db", type=float, default=None,
                        help="treat detections below this location SNR as none (exit 3)")
+    p_ana.set_defaults(run=cmd_analyze)
 
     p_exp = sub.add_parser("experiment", help="run a named preset")
     p_exp.add_argument("--preset", required=True, choices=experiments.PRESETS)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--seeds", default=None,
                        help="inclusive seed range a..b overriding the preset default")
+    p_exp.set_defaults(run=cmd_experiment)
     return parser
 
 
@@ -75,58 +80,49 @@ def _parse_seed_range(text: str) -> range:
     return range(start, stop + 1)
 
 
-def cmd_simulate(config_path: str, out_path: str) -> int:
-    cfg = load_sim_config(config_path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = load_sim_config(args.config)
     chunks = _trace_rows(cfg, max(1, _CHUNK_BYTES // (8 * cfg.fiber_points)))
-    io_formats.write_trace_rows(out_path, (cfg.num_traces, cfg.fiber_points), cfg.meters_per_point,
+    io_formats.write_trace_rows(args.out, (cfg.num_traces, cfg.fiber_points), cfg.meters_per_point,
                                 cfg.trace_rate_hz, PROVENANCE_SYNTHETIC, chunks)
     print(f"config_digest={config_digest(cfg)}")
     print(f"seed={cfg.seed}")
-    print(f"wrote {cfg.num_traces}x{cfg.fiber_points} traces to {out_path}")
+    print(f"wrote {cfg.num_traces}x{cfg.fiber_points} traces to {args.out}")
     return EXIT_OK
 
 
-def cmd_analyze(
-    trace_path: str,
-    method_alias: str,
-    window: int,
-    out_dir: str,
-    *,
-    avg_len: int,
-    guard: int,
-    min_snr_db: float | None,
-) -> int:
-    if min_snr_db is not None and math.isnan(min_snr_db):
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.min_snr_db is not None and math.isnan(args.min_snr_db):
         raise ConfigError("--min-snr-db must be a number, got nan")
-    method = detect.METHOD_ALIASES[method_alias]
+    method = detect.METHOD_ALIASES[args.method]
     digest_src = hashlib.sha256()
-    traces = io_formats.read_traces(trace_path, digest=digest_src)
-    digest_src.update(
-        f"|method={method}|window={window}|guard={guard}|avg_len={avg_len}".encode()
-    )
+    traces = io_formats.read_traces(args.traces, digest=digest_src)
+    digest_src.update(f"|method={method}|window={args.window}|guard={args.guard}"
+                      f"|avg_len={args.avg_len}".encode())
     digest = digest_src.hexdigest()
     profile, report = experiments.analyze_traces(
-        traces, method, window, avg_len=avg_len, guard=guard
+        traces, method, args.window, avg_len=args.avg_len, guard=args.guard
     )
 
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io_formats.export_profile_csv(profile, out / f"profile_{method_alias}.csv")
+    io_formats.export_profile_csv(profile, out / f"profile_{args.method}.csv")
     io_formats.write_report_json(
-        out / f"report_{method_alias}.json", report, window=window, config_digest=digest
+        out / f"report_{args.method}.json", report, window=args.window, config_digest=digest
     )
     print(
         f"method={method} peak_index={report.peak_index} "
         f"peak_position_m={report.peak_position_m:.6g} "
         f"location_snr_db={report.location_snr_db:.6g}"
     )
-    if min_snr_db is not None and report.location_snr_db < min_snr_db:
-        raise NoDetectionError(f"location SNR below threshold {min_snr_db:g} dB")
+    if args.min_snr_db is not None and report.location_snr_db < args.min_snr_db:
+        raise NoDetectionError(f"location SNR below threshold {args.min_snr_db:g} dB")
     return EXIT_OK
 
 
-def cmd_experiment(preset: str, out_dir: str, seeds) -> int:
-    paths = experiments.run_preset(preset, out_dir, seeds=seeds)
+def cmd_experiment(args: argparse.Namespace) -> int:
+    seeds = None if args.seeds is None else _parse_seed_range(args.seeds)
+    paths = experiments.run_preset(args.preset, args.out, seeds=seeds)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
@@ -135,20 +131,7 @@ def cmd_experiment(preset: str, out_dir: str, seeds) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "analyze":
-            return cmd_analyze(
-                args.traces,
-                args.method,
-                args.window,
-                args.out,
-                avg_len=args.avg_len,
-                guard=args.guard,
-                min_snr_db=args.min_snr_db,
-            )
-        seeds = None if args.seeds is None else _parse_seed_range(args.seeds)
-        return cmd_experiment(args.preset, args.out, seeds=seeds)
+        return args.run(args)
     except HocdvsError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -28,6 +28,20 @@ from .errors import ConfigError, NoDetectionError, NoEdgeError
 from .stats import _freeze, mean_cube_axis0
 from .synth import TraceMatrix, _finite_positive
 
+__all__ = [
+    "DetectionReport",
+    "HocProfile",
+    "METHOD_HOC",
+    "METHOD_MOVING_AVERAGE",
+    "METHOD_MOVING_DIFFERENTIAL",
+    "hoc_profile",
+    "locate_peak",
+    "location_snr",
+    "moving_average_profile",
+    "moving_differential_profile",
+    "spatial_resolution",
+]
+
 METHOD_HOC = "hoc"
 METHOD_MOVING_DIFFERENTIAL = "moving_differential"
 METHOD_MOVING_AVERAGE = "moving_average"

@@ -66,6 +66,7 @@ TRACE_NOISE_SIGMA = 0.02
 TRACE_SOP_SIGMA = 0.005
 TRACE_WINDOW = 100
 TRACE_GUARD = 3 * TRACE_PULSE_POINTS
+TRACE_AVG_LEN = 5  # traces per mavg block
 
 _MAX_REFERENCE_RETRIES = 64
 
@@ -219,7 +220,7 @@ def analyze_traces(
     method: str,
     window: int,
     *,
-    avg_len: int = 5,
+    avg_len: int = TRACE_AVG_LEN,
     guard: int = TRACE_GUARD,
 ) -> tuple[detect.HocProfile, detect.DetectionReport]:
     """Run one method end to end: profile, peak, location SNR, resolution."""

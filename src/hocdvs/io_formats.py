@@ -31,6 +31,14 @@ from .detect import DetectionReport, HocProfile
 from .errors import PersistenceError
 from .synth import _PROVENANCES, TraceMatrix
 
+__all__ = [
+    "export_profile_csv",
+    "read_profile_csv",
+    "read_traces",
+    "write_report_json",
+    "write_traces",
+]
+
 MAGIC = b"HOCDVS01"
 VERSION = 1
 _HEADER = struct.Struct("<8sIIIddB")

@@ -16,6 +16,13 @@ import numpy as np
 
 from .errors import HocdvsError
 
+__all__ = [
+    "Sequence",
+    "center",
+    "third_cumulant_lagged",
+    "third_cumulant_zero_lag",
+]
+
 # |mean| must stay below this times max(1, max|sample|) for centered data.
 CENTER_TOL = 1e-12
 

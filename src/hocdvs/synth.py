@@ -34,6 +34,20 @@ import numpy as np
 from .errors import ConfigError, HocdvsError, PersistenceError
 from .stats import _freeze
 
+__all__ = [
+    "SimConfig",
+    "SquareWaveSpec",
+    "TraceMatrix",
+    "asymmetrize",
+    "config_digest",
+    "format_sim_config",
+    "gen_square_wave",
+    "gen_truncated_gaussian",
+    "load_sim_config",
+    "parse_sim_config",
+    "synth_traces",
+]
+
 # Domain of the truncated standard normal; about 0.054% of raw draws fall
 # outside and are rejected.
 TRUNCATION_LIMIT = 3.46
@@ -68,10 +82,10 @@ class SquareWaveSpec:
             raise ValueError(f"period must be >= 2 samples, got {self.period_samples}")
         if self.period_samples >= 2**63:
             raise ValueError("period_samples must be < 2**63")
-        if self.high_samples < 1:
+        if not 0 < self.high_samples < self.period_samples:
+            side = "zero high" if self.high_samples < 1 else "no low"
             raise ValueError(
-                f"duty {self.duty} over period {self.period_samples} rounds "
-                "to zero high samples"
+                f"duty {self.duty} over period {self.period_samples} rounds to {side} samples"
             )
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")

@@ -149,13 +149,15 @@ class TestSimulate:
          pytest.param("fiber_points", "1" + "0" * 400, id="fiber_points-1e400"),
          pytest.param("fiber_points", "-1" + "0" * 400, id="fiber_points--1e400"),
          pytest.param("vibration.period_samples", "1" + "0" * 400,
-                      id="vibration.period_samples-1e400")],
+                      id="vibration.period_samples-1e400"),
+         ("vibration.duty", "0.99")],
     )
     def test_config_that_cannot_be_simulated_is_config_error(self, tmp_path, capsys, key,
                                                              literal):
         # 70 points x 6 traces; each value overflows the fiber extent, overflows
-        # the float32 payload, cannot seed the generator, exceeds int64, or
-        # lies outside the u32 range of the trace-file header
+        # the float32 payload, cannot seed the generator, exceeds int64, lies
+        # outside the u32 range of the trace-file header, or rounds the drive
+        # to a constant wave (13.86 of 14 samples high)
         text = format_sim_config(trace_config(0.2, 0, fiber_points=70, num_traces=6,
                                               vibration_point=35))
         path = tmp_path / "c.cfg"
@@ -594,7 +596,7 @@ def sim_configs(draw):
     fiber_points = draw(st.integers(1, 64))
     period = draw(st.integers(2, _INT64_MAX))
     duty = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    assume(round(duty * period) >= 1)
+    assume(1 <= round(duty * period) < period)
     mpp = draw(_POSITIVE)
     assume(math.isfinite(mpp * fiber_points))
     return SimConfig(

@@ -20,7 +20,13 @@ from hocdvs import (
 )
 from hocdvs.errors import ConfigError, NoDetectionError, NoEdgeError
 from hocdvs.detect import HOC_BLOCK_POINTS
-from hocdvs.experiments import TRACE_WINDOW, analyze_traces, trace_config
+from hocdvs.experiments import (
+    DUTY_CYCLES,
+    TRACE_PULSE_POINTS,
+    TRACE_WINDOW,
+    analyze_traces,
+    trace_config,
+)
 
 
 def matrix(rows, mpp=1.0, rate=10000.0):
@@ -382,6 +388,77 @@ class TestProfileProperties:
             sr_m = spatial_resolution(prof_m, locate_peak(prof_m)[0])
             assert sr_h < sr_m
             assert 0.4 <= sr_h / sr_m <= 0.7
+
+    # The tests below state the claimed gains over mdiff in forms that no
+    # monotone rescaling of a profile changes.
+
+    @pytest.mark.parametrize("duty", DUTY_CYCLES)
+    def test_hoc_hits_the_event_more_often_than_moving_differential(self, duty):
+        # peak within 10 points of the event; measured 13/15/14/12 of 20 for
+        # hoc against 8/9/8/8 for mdiff at 10-40% duty
+        hits = {hoc_profile: 0, moving_differential_profile: 0}
+        for seed in range(20):
+            cfg = trace_config(duty, seed=seed, noise_sigma=0.2)
+            traces = synth_traces(cfg)
+            for make in hits:
+                idx, _ = locate_peak(make(traces, TRACE_WINDOW))
+                hits[make] += abs(idx - cfg.vibration_point) <= 10
+        assert hits[hoc_profile] > hits[moving_differential_profile]
+
+    def test_cube_root_of_hoc_rises_like_moving_differential(self):
+        # the sharper hoc edge above is the cube reshaping one edge
+        for seed in range(10):
+            cfg = trace_config(0.2, seed=seed, noise_sigma=0.0, sop_sigma=0.0)
+            traces = synth_traces(cfg)
+            prof_h = hoc_profile(traces, TRACE_WINDOW)
+            prof_m = moving_differential_profile(traces, TRACE_WINDOW)
+            sr_root = spatial_resolution(profile(np.cbrt(prof_h.values)), locate_peak(prof_h)[0])
+            sr_m = spatial_resolution(prof_m, locate_peak(prof_m)[0])
+            assert sr_root == pytest.approx(sr_m, rel=0.05)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
+    def test_two_event_separation(self, noise_sigma):
+        # hoc separates two events 11-13 points apart and mdiff 11-14 over
+        # duties 10-30% and seeds 0..9; hoc needs fewer points in 16 of those
+        # 60 runs and one more in 3 (seed 8 at zero noise: 12 against 11)
+        gaps = np.array([_separations(0.2, seed, noise_sigma) for seed in range(10)])
+        hoc, mdiff = gaps.T
+        assert np.all(gaps > TRACE_PULSE_POINTS)
+        assert np.all(hoc <= mdiff + 1)
+        assert np.all(mdiff - hoc <= 2)
+        assert hoc.sum() <= mdiff.sum()
+
+
+def _separations(duty, seed, noise_sigma, first=700, max_gap=40):
+    """Smallest gap, in points, at which the hoc and the mdiff profile each
+    separate two events at `first` and `first + gap`.
+
+    Separated means the largest |value| within 3 points of each event, with
+    a dip at least 10% below the smaller of the two between them. The
+    two-event matrix is amps(first) + amps(second) - amps(no event): configs
+    that share a seed share every draw, whatever their event point.
+    """
+
+    def amps(**overrides):
+        cfg = trace_config(duty, seed=seed, noise_sigma=noise_sigma, **overrides)
+        return synth_traces(cfg).amplitudes
+
+    def separated(values, second):
+        a = np.abs(values)
+        i1 = first - 3 + int(np.argmax(a[first - 3 : first + 4]))
+        i2 = second - 3 + int(np.argmax(a[second - 3 : second + 4]))
+        return i2 - i1 >= 2 and a[i1 + 1 : i2].min() <= 0.9 * min(a[i1], a[i2])
+
+    base = amps(vibration_point=first) - amps(vibration_depth=0.0)
+    found = {}
+    for gap in range(1, max_gap + 1):
+        traces = matrix(base + amps(vibration_point=first + gap))
+        for make in (hoc_profile, moving_differential_profile):
+            if make not in found and separated(make(traces, TRACE_WINDOW).values, first + gap):
+                found[make] = gap
+        if len(found) == 2:
+            return found[hoc_profile], found[moving_differential_profile]
+    raise AssertionError(f"two events {max_gap} points apart are not separated")
 
 
 @pytest.mark.parametrize("position", [np.inf, np.nan])

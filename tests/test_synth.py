@@ -131,6 +131,8 @@ class TestSquareWave:
             dict(duty=1.0, period_samples=10, amplitude=1.0),
             dict(duty=0.5, period_samples=1, amplitude=1.0),
             dict(duty=0.04, period_samples=10, amplitude=1.0),  # rounds to 0 high
+            dict(duty=0.75, period_samples=2, amplitude=1.0),  # rounds to 0 low
+            dict(duty=0.9, period_samples=3, amplitude=1.0),  # rounds to 0 low
         ],
     )
     def test_invalid_specs(self, kwargs):
