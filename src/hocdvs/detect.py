@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoDetectionError, NoEdgeError
-from .stats import _freeze, mean_cube_axis0
-from .synth import TraceMatrix, _finite_positive
+from .stats import mean_cube_axis0
+from .synth import TraceMatrix, _finite_positive, _freeze
 
 __all__ = [
     "DetectionReport",
@@ -62,20 +62,14 @@ class HocProfile:
     """Per-fiber-point statistic over a window of consecutive traces."""
 
     values: np.ndarray
-    window: int
     meters_per_point: float
-    method: str
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"values must be a non-empty vector, got shape {arr.shape}")
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2 traces, got {self.window}")
         if not _finite_positive(self.meters_per_point):
             raise ValueError("meters_per_point must be finite and > 0")
-        if self.method not in METHOD_ALIASES.values():
-            raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "values", _freeze(arr))
 
     @property
@@ -130,7 +124,7 @@ def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
         block = np.array(amps[:, cols], dtype=np.float64, order="C")
         block -= block.mean(axis=0)
         values[cols] = mean_cube_axis0(block[:window])
-    return HocProfile(values, window, traces.meters_per_point, METHOD_HOC)
+    return HocProfile(values, traces.meters_per_point)
 
 
 def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:
@@ -138,7 +132,7 @@ def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:
     _check_window(traces, window)
     diffs = np.abs(np.diff(np.asarray(traces.amplitudes[:window], dtype=np.float64), axis=0))
     values = diffs.mean(axis=0)
-    return HocProfile(values, window, traces.meters_per_point, METHOD_MOVING_DIFFERENTIAL)
+    return HocProfile(values, traces.meters_per_point)
 
 
 def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> HocProfile:
@@ -158,7 +152,7 @@ def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> Ho
     rows = np.asarray(traces.amplitudes[: blocks * avg_len], dtype=np.float64)
     averaged = rows.reshape(blocks, avg_len, m).mean(axis=1)
     values = np.abs(np.diff(averaged, axis=0)).mean(axis=0)
-    return HocProfile(values, window, traces.meters_per_point, METHOD_MOVING_AVERAGE)
+    return HocProfile(values, traces.meters_per_point)
 
 
 def locate_peak(profile: HocProfile) -> tuple[int, float]:

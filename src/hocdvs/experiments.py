@@ -20,7 +20,7 @@ import numpy as np
 
 from . import detect, io_formats
 from .errors import ConfigError, HocdvsError, NoEdgeError
-from .stats import _check_centered, mean_cube_axis0
+from .stats import mean_cube_axis0
 from .synth import (
     SimConfig,
     SquareWaveSpec,
@@ -72,6 +72,8 @@ _MAX_REFERENCE_RETRIES = 64
 
 # Degenerate-reference floor: |c3(noise)| must exceed this times power^(3/2).
 NOISE_C3_FLOOR = 1e-3
+# |mean| must stay below this times max(1, max|sample|) for a centered row.
+CENTER_TOL = 1e-12
 
 
 def derive_seed(*parts: int) -> int:
@@ -127,6 +129,14 @@ def mix_at_snr1(signal: np.ndarray, snr1_db: float, noise: np.ndarray) -> np.nda
     p_raw = np.mean(noise**2, axis=-1, keepdims=True)
     gain = np.sqrt(p_signal * 10.0 ** (-snr1_db / 10.0) / p_raw)
     return signal + gain * noise
+
+
+def _check_centered(rows: np.ndarray) -> None:
+    """Raise unless each row has |mean| <= CENTER_TOL * max(1, max|sample|)."""
+    mean = rows.mean(axis=-1)
+    off = np.abs(mean) > CENTER_TOL * np.maximum(1.0, np.max(np.abs(rows), axis=-1))
+    if np.any(off):
+        raise HocdvsError(f"row is not centered: its mean is {mean[off].flat[0]:.3e}")
 
 
 def snr2_db(mixed: np.ndarray, noise_ref: np.ndarray) -> list[float]:

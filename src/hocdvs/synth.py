@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, HocdvsError, PersistenceError
-from .stats import _freeze
 
 __all__ = [
     "SimConfig",
@@ -145,6 +144,15 @@ class SimConfig:
 _AMPLITUDE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Return arr read-only, copying it unless it owns its data and is
+    already read-only, so no caller can write to the result."""
+    if not arr.flags.owndata or arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TraceMatrix:
     """W traces by M fiber points of backscattering amplitudes.
@@ -152,7 +160,7 @@ class TraceMatrix:
     The stored matrix is read-only and private to the instance. A float32
     or float64 matrix keeps its dtype (read_traces hands over the file's
     float32 payload); anything else becomes float64. It is frozen by the
-    rule of stats._freeze, which takes over an array that owns its data
+    rule of _freeze, which takes over an array that owns its data
     and is already read-only: that is how read_traces and synth_traces
     hand over the matrices they have just made without paying for a
     second copy.

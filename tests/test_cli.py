@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hocdvs import (
     METHOD_HOC,
     HocProfile,
-    Sequence,
     asymmetrize,
     cli,
     errors,
@@ -484,16 +483,12 @@ def test_exit_code_table_covers_every_error_class():
     assert found == EXIT_TABLE
 
 
-def _centered(values):
-    return Sequence(np.asarray(values, dtype=float), centered=True)
-
-
 def _zeros(traces, points):
     return TraceMatrix(np.zeros((traces, points)), 1.0, 1.0)
 
 
 def _profile(values):
-    return HocProfile(np.asarray(values, dtype=float), 100, 1.0, METHOD_HOC)
+    return HocProfile(np.asarray(values, dtype=float), 1.0)
 
 
 def _exhaust_noise_references():
@@ -514,11 +509,11 @@ def _read_edited_trace_file(tmp_path, edit):
 # raises, a message fragment naming the condition). Each keeps the exit code
 # and stderr label it had.
 CONDITIONS = {
-    "EmptySequenceError": (lambda tmp: Sequence(np.empty(0)),
+    "EmptySequenceError": (lambda tmp: third_cumulant_zero_lag(np.empty(0)),
                            HocdvsError, "at least one sample"),
-    "NotCenteredError": (lambda tmp: third_cumulant_zero_lag(Sequence(np.array([1.0, 2.0]))),
-                         HocdvsError, "argument 1 is not centered"),
-    "LagTooLargeError": (lambda tmp: third_cumulant_lagged(_centered([1, -1]), 2, 0),
+    "NotCenteredError": (lambda tmp: snr2_db(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])),
+                         HocdvsError, "row is not centered"),
+    "LagTooLargeError": (lambda tmp: third_cumulant_lagged(np.array([1.0, -1.0]), 2, 0),
                          HocdvsError, "lag 2 >= sequence length 2"),
     "ZeroSignalError": (lambda tmp: mix_at_snr1(np.zeros(10), 0.0, np.ones(10)),
                         HocdvsError, "zero-power signal"),

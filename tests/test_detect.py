@@ -3,11 +3,9 @@ import pytest
 
 from hocdvs import (
     METHOD_HOC,
-    METHOD_MOVING_AVERAGE,
     METHOD_MOVING_DIFFERENTIAL,
     DetectionReport,
     HocProfile,
-    Sequence,
     TraceMatrix,
     hoc_profile,
     locate_peak,
@@ -33,15 +31,14 @@ def matrix(rows, mpp=1.0, rate=10000.0):
     return TraceMatrix(np.asarray(rows, dtype=float), mpp, rate)
 
 
-def profile(values, window=100, mpp=1.0, method=METHOD_HOC):
-    return HocProfile(np.asarray(values, dtype=float), window, mpp, method)
+def profile(values, mpp=1.0):
+    return HocProfile(np.asarray(values, dtype=float), mpp)
 
 
 class TestHocProfile:
     def test_zero_residuals_give_zero_profile(self):
         prof = hoc_profile(matrix(np.zeros((10, 4))), window=10)
         np.testing.assert_array_equal(prof.values, np.zeros(4))
-        assert prof.method == METHOD_HOC
 
     def test_matches_zero_lag_cumulant_per_column(self):
         rng = np.random.default_rng(77)
@@ -49,7 +46,7 @@ class TestHocProfile:
         residuals = raw - raw.mean(axis=0)
         prof = hoc_profile(matrix(raw), window=50)
         for col in range(6):
-            expected = third_cumulant_zero_lag(Sequence(residuals[:, col], centered=True))
+            expected = third_cumulant_zero_lag(residuals[:, col])
             assert prof.values[col] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -166,10 +163,9 @@ class TestHocProfile:
     ],
     ids=["hoc", "mdiff", "mavg"],
 )
-def test_profile_carries_window_and_meters_per_point(make_profile):
+def test_profile_carries_meters_per_point(make_profile):
     rng = np.random.default_rng(13)
     prof = make_profile(matrix(rng.normal(size=(8, 5)), mpp=2.5, rate=5000.0), 6)
-    assert prof.window == 6
     assert prof.meters_per_point == 2.5
     assert prof.fiber_points == 5
 
@@ -178,7 +174,6 @@ class TestMovingDifferential:
     def test_identical_traces_give_zero(self):
         prof = moving_differential_profile(matrix(np.ones((8, 5))), window=8)
         np.testing.assert_array_equal(prof.values, np.zeros(5))
-        assert prof.method == METHOD_MOVING_DIFFERENTIAL
 
     def test_zero_noise_bump_is_triangular(self):
         cfg = trace_config(0.2, seed=4, noise_sigma=0.0, sop_sigma=0.0)
@@ -204,7 +199,6 @@ class TestMovingAverage:
         a = moving_average_profile(traces, window=30, avg_len=1)
         b = moving_differential_profile(traces, window=30)
         np.testing.assert_array_equal(a.values, b.values)
-        assert a.method == METHOD_MOVING_AVERAGE
 
     def test_noise_floor_decreases_with_avg_len(self):
         rng = np.random.default_rng(12)
@@ -476,16 +470,6 @@ def test_report_requires_finite_peak_position(position):
 def test_profile_requires_non_empty_vector(values, shape):
     with pytest.raises(ValueError, match=f"values must be a non-empty vector, got shape {shape}"):
         profile(values)
-
-
-def test_profile_rejects_window_below_two():
-    with pytest.raises(ValueError, match="window must be >= 2 traces, got 1"):
-        profile([1.0, 2.0], window=1)
-
-
-def test_profile_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown method 'cumulant'"):
-        profile([1.0, 2.0], method="cumulant")
 
 
 def test_report_rejects_negative_peak_index():

@@ -19,7 +19,7 @@ from hocdvs import (
     write_report_json,
     write_traces,
 )
-from hocdvs.detect import METHOD_HOC, METHOD_MOVING_DIFFERENTIAL
+from hocdvs.detect import METHOD_MOVING_DIFFERENTIAL
 from hocdvs.errors import ConfigError, PersistenceError
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
 
@@ -179,14 +179,14 @@ class TestTraceFile:
 
 class TestProfileCsv:
     def test_line_count(self, tmp_path):
-        prof = HocProfile(np.array([1.0, 2.0]), 10, 1.0, METHOD_HOC)
+        prof = HocProfile(np.array([1.0, 2.0]), 1.0)
         path = tmp_path / "p.csv"
         export_profile_csv(prof, path)
         assert len(path.read_text().splitlines()) == 3
 
     def test_round_trip_and_positions(self, tmp_path):
         values = np.array([0.1234567891234, -5.5e-4, 3.0, 0.0])
-        prof = HocProfile(values, 10, 2.5, METHOD_HOC)
+        prof = HocProfile(values, 2.5)
         path = tmp_path / "p.csv"
         export_profile_csv(prof, path)
         positions, parsed = read_profile_csv(path)
@@ -197,14 +197,14 @@ class TestProfileCsv:
     def test_rows_match_per_row_rendering(self, tmp_path, mpp):
         values = np.array([0.1234567891234, -5.5e-4, -0.0, 0.0, 1e-300, -1e-300, 1e115,
                            -1e115, 3.0, -2.5e-12, 123456789012345.0])
-        prof = HocProfile(values, 10, mpp, METHOD_HOC)
+        prof = HocProfile(values, mpp)
         path = tmp_path / "p.csv"
         export_profile_csv(prof, path)
         rows = [f"{idx * mpp:.12g},{value:.12g}" for idx, value in enumerate(prof.values)]
         assert path.read_bytes() == ("position_m,value\n" + "\n".join(rows) + "\n").encode()
 
     def test_header_line(self, tmp_path):
-        prof = HocProfile(np.array([1.0]), 10, 1.0, METHOD_HOC)
+        prof = HocProfile(np.array([1.0]), 1.0)
         path = tmp_path / "p.csv"
         export_profile_csv(prof, path)
         assert path.read_text().splitlines()[0] == "position_m,value"
