@@ -122,9 +122,14 @@ def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
     for start in range(0, traces.fiber_points, HOC_BLOCK_POINTS):
         cols = slice(start, start + HOC_BLOCK_POINTS)
         block = np.array(amps[:, cols], dtype=np.float64, order="C")
-        block -= block.mean(axis=0)
-        values[cols] = mean_cube_axis0(block[:window])
+        values[cols] = _centered_mean_cube(block, window)
     return HocProfile(values, traces.meters_per_point)
+
+
+def _centered_mean_cube(block: np.ndarray, window: int) -> np.ndarray:
+    """Centre a float64 block in place by column; the mean cube of its first `window` rows."""
+    block -= block.mean(axis=0)
+    return mean_cube_axis0(block[:window])
 
 
 def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +28,11 @@ from .synth import (
     SquareWaveSpec,
     TraceMatrix,
     _sim_config,
+    _trace_rows,
     asymmetrize,
     config_digest,
     gen_square_wave,
     gen_truncated_gaussian,
-    synth_traces,
 )
 
 # Value intervals (each holding ~10% of the probability mass) mirrored to
@@ -242,31 +244,51 @@ def analyze_traces(
         profile = detect.moving_average_profile(traces, window, avg_len)
     else:
         raise ValueError(f"unknown method {method!r}")
+    return profile, _report(profile, method, guard)
+
+
+def _report(profile: detect.HocProfile, method: str, guard: int) -> detect.DetectionReport:
+    """Peak, location SNR and 10-90% resolution (None without an edge) of a profile."""
     peak_index, position_m = detect.locate_peak(profile)
     snr = detect.location_snr(profile, peak_index, guard)
     try:
         resolution = detect.spatial_resolution(profile, peak_index)
     except NoEdgeError:
         resolution = None
-    report = detect.DetectionReport(
+    return detect.DetectionReport(
         peak_index=peak_index,
         peak_position_m=position_m,
         location_snr_db=snr,
         spatial_resolution_m=resolution,
         method=method,
     )
-    return profile, report
+
+
+def _sweep_part(pairs) -> list:
+    """The (duty, seed, report) rows of some pairs, as analyze_traces(synth_traces(cfg),
+    hoc) would give them, every config drawn into one reused buffer."""
+    buf = np.empty((TRACE_COUNT, TRACE_FIBER_POINTS))
+    rows = []
+    for duty, seed in pairs:
+        cfg = trace_config(duty, seed)
+        (amplitudes,) = _trace_rows(cfg, TRACE_COUNT, out=buf)
+        profile = detect.HocProfile(detect._centered_mean_cube(amplitudes, TRACE_WINDOW),
+                                    cfg.meters_per_point)
+        rows.append((duty, seed, _report(profile, detect.METHOD_HOC, TRACE_GUARD)))
+    return rows
 
 
 def localization_sweep(seeds):
-    """Detection reports for every (duty, seed) pair at trace scale."""
-    rows = []
-    for duty in DUTY_CYCLES:
-        for seed in seeds:
-            cfg = trace_config(duty, seed)
-            _, report = analyze_traces(synth_traces(cfg), detect.METHOD_HOC, TRACE_WINDOW)
-            rows.append((duty, seed, report))
-    return rows
+    """Detection reports for every (duty, seed) pair at trace scale, in one contiguous
+    part per usable CPU: the first on the calling thread, the rest on a pool."""
+    pairs = [(duty, seed) for duty in DUTY_CYCLES for seed in seeds]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = max(1, min(cpus or 1, len(pairs)))
+    parts = [pairs[k * len(pairs) // n : (k + 1) * len(pairs) // n] for k in range(n)]
+    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
+        futures = [pool.submit(_sweep_part, part) for part in parts[1:]]
+        # the calling thread runs its part before it waits on the pool's
+        return _sweep_part(parts[0]) + [row for future in futures for row in future.result()]
 
 
 def _fmt(value: float) -> str:

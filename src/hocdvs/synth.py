@@ -17,9 +17,10 @@ drive sampled on the trace repetition clock. Detector noise is additive
 white Gaussian per sample; polarization drift is a per-trace Gaussian
 factor (1 + eta) multiplying the whole optical amplitude.
 
-All generation is single-threaded and fully determined by the config,
-seed included. A trace matrix also comes in row chunks, equal bit for bit
-at any chunk size, so `hocdvs simulate` can write a file beyond memory.
+Each config is generated on one thread, fully determined by the config,
+seed included; the e2e sweep spreads configs over the usable CPUs. A trace
+matrix also comes in row chunks, equal bit for bit at any chunk size, fresh
+or drawn into a reused buffer, so `hocdvs simulate` can write a file beyond memory.
 """
 
 from __future__ import annotations
@@ -245,10 +246,10 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
     )
 
 
-def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
-    """Yield the trace matrix as fresh float64 chunks of rows_per_chunk traces
-    (the last may be shorter), each within the float32 range of trace files,
-    drawing phases, polarization factors, then noise chunk by chunk."""
+def _trace_rows(cfg: SimConfig, rows_per_chunk: int, out: np.ndarray | None = None):
+    """Yield the trace matrix in float64 chunks of rows_per_chunk traces (the last may be
+    shorter) within the float32 range of trace files, drawing phases, polarization factors,
+    then noise chunk by chunk; each chunk is fresh, or overwrites the first rows of `out`."""
     rng = np.random.default_rng(cfg.seed)
     m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
 
@@ -262,16 +263,19 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
     kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
     drive = gen_square_wave(w, cfg.vibration)
     event_amplitude = cfg.vibration_depth * baseline[p]
+    clean_rows = max(1, (1 << 15) // m)  # clean rows added at a time: 256 KB stays in cache
     for start in range(0, w, rows_per_chunk):
-        rows = slice(start, min(start + rows_per_chunk, w))
-        chunk = rng.standard_normal(size=(rows.stop - start, m))
+        n = min(rows_per_chunk, w - start)
+        chunk = rng.standard_normal((n, m), out=None if out is None else out[:n])
         with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
             chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
-            clean = sop[rows, None] * baseline
-            clean[:, lo:hi] = sop[rows, None] * (
-                baseline[lo:hi] + event_amplitude * kernel * drive[rows, None]
-            )
-            chunk += clean  # noise + clean is clean + noise bit for bit
+            for first in range(0, n, clean_rows):
+                rows = slice(start + first, start + min(first + clean_rows, n))
+                clean = sop[rows, None] * baseline
+                clean[:, lo:hi] = sop[rows, None] * (
+                    baseline[lo:hi] + event_amplitude * kernel * drive[rows, None]
+                )
+                chunk[first : first + clean_rows] += clean  # = clean + noise, bit for bit
         # NaN fails both comparisons, as does anything a trace file cannot store
         if not (-_FLOAT32_MAX <= chunk.min() and chunk.max() <= _FLOAT32_MAX):
             raise ConfigError("config drives amplitudes beyond the float32 range of trace files")

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hocdvs.experiments import (
     SWEEP_LENGTHS,
     _draw_streams,
     _snr2_statistics,
+    analyze_traces,
     asymmetry_sweep,
     derive_seed,
     localization_sweep,
@@ -22,7 +24,7 @@ from hocdvs.experiments import (
     trace_config,
 )
 from hocdvs.stats import mean_cube_axis0
-from hocdvs.synth import SquareWaveSpec, config_digest, gen_square_wave
+from hocdvs.synth import SquareWaveSpec, config_digest, gen_square_wave, synth_traces
 
 
 def test_derive_seed_stable_and_distinct():
@@ -141,6 +143,51 @@ def test_localization_sweep_rows():
     ]
     for duty, seed, report in rows:
         assert abs(report.peak_index - 1049) <= 10
+
+
+def _set_usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_localization_sweep_does_not_depend_on_the_worker_count(monkeypatch, cpus):
+    _set_usable_cpus(monkeypatch, cpus)
+    part_sizes = []
+    sweep_part = experiments._sweep_part
+
+    def counted(pairs):
+        part_sizes.append(len(pairs))
+        return sweep_part(pairs)
+
+    monkeypatch.setattr(experiments, "_sweep_part", counted)
+    rows = localization_sweep(seeds=range(6))
+    assert sorted(part_sizes) == [24 // cpus] * cpus
+    expected = [
+        (duty, seed, analyze_traces(synth_traces(trace_config(duty, seed)), "hoc", 100)[1])
+        for duty in DUTY_CYCLES
+        for seed in range(6)
+    ]
+    assert rows == expected
+
+
+def test_localization_sweep_failure_in_a_pool_part_reaches_the_caller(monkeypatch):
+    _set_usable_cpus(monkeypatch, 3)
+    make_config = experiments.trace_config
+
+    def last_config_overflows(duty, seed):
+        if (duty, seed) == (DUTY_CYCLES[-1], 5):  # the last pair, in the third part
+            return make_config(duty, seed, noise_sigma=1e300)
+        return make_config(duty, seed)
+
+    monkeypatch.setattr(experiments, "trace_config", last_config_overflows)
+    threads = threading.active_count()
+    with pytest.raises(ConfigError) as exc:
+        localization_sweep(seeds=range(6))
+    assert exc.type is ConfigError
+    assert str(exc.value) == "config drives amplitudes beyond the float32 range of trace files"
+    assert threading.active_count() == threads
 
 
 def test_unknown_preset():

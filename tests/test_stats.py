@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hocdvs import third_cumulant_lagged, third_cumulant_zero_lag
@@ -36,6 +37,47 @@ class TestSamples:
         x = np.array([1.0, 2.0, 6.0])
         estimate(x)
         np.testing.assert_array_equal(x, [1.0, 2.0, 6.0])
+
+    @pytest.mark.parametrize("x", [[1e200, -1e200, 0.0], [1e308, 1e308]])
+    def test_huge_samples_with_zero_cumulant_give_zero(self, estimate, x):
+        assert estimate(x) == 0.0
+
+    def test_cumulant_beyond_the_float_range_is_a_value_error(self, estimate):
+        with pytest.raises(ValueError, match="^third cumulant exceeds the float range$"):
+            estimate([1e200, 0.0, 0.0])
+
+
+def _cumulant_or_none(estimate, x):
+    """The estimate, or None when the cumulant exceeds the float range."""
+    try:
+        return estimate(x)
+    except ValueError:
+        return None
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    st.integers(-1000, 1000),
+    st.integers(0, 2),
+)
+def test_power_of_two_scaling_is_exact_and_never_nan(values, k, lag):
+    """k3(2**k * x) == 2**(3k) * k3(x) wherever both are in range, for any
+    finite x whose scaling by 2**k is exact."""
+    x = np.asarray(values)
+    with np.errstate(over="ignore", under="ignore"):  # such an x is skipped
+        y = np.ldexp(x, k)
+        assume(np.all(np.isfinite(y)) and np.array_equal(np.ldexp(y, -k), x))
+    lag = min(lag, x.size - 1)
+    for estimate in (third_cumulant_zero_lag, lambda s: third_cumulant_lagged(s, lag, 0)):
+        a, b = _cumulant_or_none(estimate, x), _cumulant_or_none(estimate, y)
+        assert not (a is not None and math.isnan(a)) and not (b is not None and math.isnan(b))
+        # a normal k3(x) is exact; a zero or subnormal one may have underflowed
+        if a is not None and abs(a) >= sys.float_info.min:
+            try:
+                expected = math.ldexp(a, 3 * k)
+            except OverflowError:
+                expected = None
+            assert b == expected
 
 
 _FINITE = st.floats(min_value=-1e3, max_value=1e3)

@@ -266,6 +266,19 @@ class TestSynthTraces:
             assert [len(c) for c in chunks[:-1]] == [rows_per_chunk] * (len(chunks) - 1)
             assert np.concatenate(chunks).tobytes() == expected
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 5, 100])
+    def test_chunks_drawn_into_a_buffer_equal_fresh_chunks(self, rows_per_chunk):
+        # trace scale: 1500 points, so a 100-row chunk adds its clean rows in several blocks
+        cfg = trace_config(0.3, seed=9)
+        expected = full_matrix_amplitudes(cfg).tobytes()
+        assert np.concatenate(list(_trace_rows(cfg, rows_per_chunk))).tobytes() == expected
+        buf = np.empty((cfg.num_traces, cfg.fiber_points))
+        drawn = []
+        for chunk in _trace_rows(cfg, rows_per_chunk, out=buf):
+            assert np.shares_memory(chunk, buf)
+            drawn.append(chunk.tobytes())  # the next chunk overwrites this one
+        assert b"".join(drawn) == expected
+
     def test_float32_overflow_is_a_config_error(self):
         cfg = trace_config(0.3, seed=9, fiber_points=60, vibration_point=30,
                            **{"vibration.amplitude": 1.0e300})
