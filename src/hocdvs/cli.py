@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import detect, experiments, io_formats
 from .errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
-from .synth import PROVENANCE_SYNTHETIC, _trace_rows, config_digest, load_sim_config
+from .synth import _trace_rows, config_digest, load_sim_config
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -84,7 +84,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config)
     chunks = _trace_rows(cfg, max(1, _CHUNK_BYTES // (8 * cfg.fiber_points)))
     io_formats.write_trace_rows(args.out, (cfg.num_traces, cfg.fiber_points), cfg.meters_per_point,
-                                cfg.trace_rate_hz, PROVENANCE_SYNTHETIC, chunks)
+                                cfg.trace_rate_hz, chunks)
     print(f"config_digest={config_digest(cfg)}")
     print(f"seed={cfg.seed}")
     print(f"wrote {cfg.num_traces}x{cfg.fiber_points} traces to {args.out}")

@@ -6,7 +6,8 @@ point to a single statistic: the zero-lag third cumulant (mean cube),
 which stays near zero for symmetric residuals and responds strongly to
 the skewed residuals a non-50%-duty drive produces. The baseline methods
 reduce the same window with consecutive-trace absolute differences
-instead.
+instead. Every profile is finite: a TraceMatrix keeps to the float32
+range, so a centred residual is at most 6.8e38 and its cube at most 3.2e116.
 
 Three qualifications. Symmetric residuals average out of the cumulant's
 mean, not its spread: the spread grows as sigma**3, so a symmetric event
@@ -59,7 +60,7 @@ HOC_BLOCK_POINTS = 1024
 
 @dataclass(frozen=True, eq=False)
 class HocProfile:
-    """Per-fiber-point statistic over a window of consecutive traces."""
+    """Finite per-fiber-point statistic over a window of consecutive traces."""
 
     values: np.ndarray
     meters_per_point: float
@@ -68,6 +69,8 @@ class HocProfile:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"values must be a non-empty vector, got shape {arr.shape}")
+        if not (-math.inf < arr.min() and arr.max() < math.inf):  # NaN fails both
+            raise ValueError("values must be finite")
         if not _finite_positive(self.meters_per_point):
             raise ValueError("meters_per_point must be finite and > 0")
         object.__setattr__(self, "values", _freeze(arr))
@@ -162,11 +165,7 @@ def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> Ho
 
 def locate_peak(profile: HocProfile) -> tuple[int, float]:
     """Index and position of the largest |value|; ties go to the lowest index."""
-    vals = profile.values
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise NoDetectionError("profile has no finite values")
-    mags = np.where(finite, np.abs(vals), -np.inf)
+    mags = np.abs(profile.values)
     idx = int(np.argmax(mags))
     if mags[idx] == 0.0:
         raise NoDetectionError("profile is identically zero")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +280,7 @@ def _sweep_part(pairs) -> list:
 def localization_sweep(seeds):
     """Detection reports for every (duty, seed) pair at trace scale, in one contiguous
     part per usable CPU: the first on the calling thread, the rest on a pool."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
     pairs = [(duty, seed) for duty in DUTY_CYCLES for seed in seeds]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n = max(1, min(cpus or 1, len(pairs)))

@@ -9,17 +9,19 @@ Trace file layout (little-endian throughout):
     16      4     u32 fiber_points (M)
     20      8     f64 meters_per_point
     28      8     f64 trace_rate_hz
-    36      1     u8 provenance (0 = synthetic, 1 = recorded)
+    36      1     u8 provenance: written 0, read as 0 or 1 and not kept
     37      ...   W * M float32 amplitudes, trace-major row order
 
 Amplitudes are stored as float32: acquisition hardware is 8-14 bit, so
-single precision loses nothing while halving file size. Metadata stays
-float64. The payload is written in row chunks; a failed write leaves no file.
+single precision loses nothing while halving file size; every TraceMatrix
+fits that range. Metadata stays float64. The payload is written in row
+chunks; a failed write leaves no file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import struct
@@ -29,7 +31,7 @@ import numpy as np
 
 from .detect import DetectionReport, HocProfile
 from .errors import PersistenceError
-from .synth import _PROVENANCES, TraceMatrix
+from .synth import TraceMatrix
 
 __all__ = [
     "export_profile_csv",
@@ -48,14 +50,13 @@ HEADER_SIZE = _HEADER.size
 def write_traces(path, traces: TraceMatrix) -> None:
     """Write a trace matrix; read_traces inverts it within float32 rounding."""
     write_trace_rows(path, traces.amplitudes.shape, traces.meters_per_point,
-                     traces.trace_rate_hz, traces.provenance, [traces.amplitudes])
+                     traces.trace_rate_hz, [traces.amplitudes])
 
 
-def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, provenance, chunks) -> None:
+def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, chunks) -> None:
     """Write a W x M trace file from row chunks. When a chunk or a write fails,
     the file is removed if fstat shows a regular file, so /dev/null stays."""
-    header = _HEADER.pack(MAGIC, VERSION, *shape, meters_per_point, trace_rate_hz,
-                          _PROVENANCES.index(provenance))
+    header = _HEADER.pack(MAGIC, VERSION, *shape, meters_per_point, trace_rate_hz, 0)
     try:
         with open(path, "wb") as fh:
             try:
@@ -82,7 +83,7 @@ def read_traces(path, digest=None) -> TraceMatrix:
     try:
         with open(path, "rb", buffering=0) as fh:
             header = fh.read(HEADER_SIZE)
-            (num_traces, fiber_points), mpp, rate, prov_code = _parse_header(header, path)
+            (num_traces, fiber_points), mpp, rate = _parse_header(header, path)
             expected = num_traces * fiber_points * 4
             _check_payload_size(os.fstat(fh.fileno()).st_size - HEADER_SIZE, expected, path)
             amplitudes = np.fromfile(fh, dtype=np.dtype(("<f4", fiber_points)), count=num_traces)
@@ -94,12 +95,7 @@ def read_traces(path, digest=None) -> TraceMatrix:
         digest.update(amplitudes)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     try:
-        return TraceMatrix(
-            amplitudes=amplitudes,
-            meters_per_point=mpp,
-            trace_rate_hz=rate,
-            provenance=_PROVENANCES[prov_code],
-        )
+        return TraceMatrix(amplitudes=amplitudes, meters_per_point=mpp, trace_rate_hz=rate)
     except ValueError as exc:
         raise PersistenceError(f"{path}: {exc}") from exc
 
@@ -116,9 +112,9 @@ def _parse_header(header: bytes, source):
         raise PersistenceError(
             f"bad dimensions {num_traces} x {fiber_points} in header"
         )
-    if prov_code >= len(_PROVENANCES):
+    if prov_code > 1:  # 1 marked a recorded file; both read alike
         raise PersistenceError(f"unknown provenance code {prov_code}")
-    return (num_traces, fiber_points), mpp, rate, prov_code
+    return (num_traces, fiber_points), mpp, rate
 
 
 def _check_payload_size(payload_size: int, expected: int, source) -> None:
@@ -144,7 +140,7 @@ def export_profile_csv(profile: HocProfile, path) -> None:
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a profile CSV back into (positions, values) arrays."""
+    """Parse a profile CSV back into (positions, values) arrays, all finite."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -161,6 +157,8 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
             values[i] = float(val_text)
         except ValueError:
             raise PersistenceError(f"{path}: line {i + 2} is not a row: {line!r}") from None
+        if not (math.isfinite(positions[i]) and math.isfinite(values[i])):
+            raise PersistenceError(f"{path}: line {i + 2} holds a non-finite number: {line!r}")
     return positions, values
 
 

@@ -21,6 +21,7 @@ Each config is generated on one thread, fully determined by the config,
 seed included; the e2e sweep spreads configs over the usable CPUs. A trace
 matrix also comes in row chunks, equal bit for bit at any chunk size, fresh
 or drawn into a reused buffer, so `hocdvs simulate` can write a file beyond memory.
+One amplitude rule holds everywhere: within the float32 range of trace files.
 """
 
 from __future__ import annotations
@@ -52,13 +53,16 @@ __all__ = [
 # outside and are rejected.
 TRUNCATION_LIMIT = 3.46
 
-PROVENANCE_SYNTHETIC = "synthetic"
-_PROVENANCES = (PROVENANCE_SYNTHETIC, "recorded")  # each one's index is its trace-file code
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
+
+
+def _in_float32_range(arr: np.ndarray) -> bool:
+    """Whether arr fits the float32 range of trace files; NaN fails both comparisons."""
+    return bool(-_FLOAT32_MAX <= arr.min() and arr.max() <= _FLOAT32_MAX)
 
 
 def _check_fiber_extent(meters_per_point: float, fiber_points: int, error: type) -> None:
@@ -156,7 +160,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TraceMatrix:
-    """W traces by M fiber points of backscattering amplitudes.
+    """W traces by M fiber points of backscattering amplitudes, each within
+    the float32 range, so any matrix can be written to a trace file.
 
     The stored matrix is read-only and private to the instance. A float32
     or float64 matrix keeps its dtype (read_traces hands over the file's
@@ -170,7 +175,6 @@ class TraceMatrix:
     amplitudes: np.ndarray
     meters_per_point: float
     trace_rate_hz: float
-    provenance: str = PROVENANCE_SYNTHETIC
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.amplitudes)
@@ -178,14 +182,11 @@ class TraceMatrix:
             arr = arr.astype(float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"amplitudes must be a W x M matrix, got shape {arr.shape}")
-        # NaN propagates through min and max, so no W x M mask is needed
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise ValueError("amplitudes must be finite")
+        if not _in_float32_range(arr):
+            raise ValueError("amplitudes must be finite and within the float32 range")
         if not (_finite_positive(self.meters_per_point) and _finite_positive(self.trace_rate_hz)):
             raise ValueError("meters_per_point and trace_rate_hz must be finite and > 0")
         _check_fiber_extent(self.meters_per_point, arr.shape[1], ValueError)
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "amplitudes", _freeze(arr))
 
     @property
@@ -276,8 +277,7 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int, out: np.ndarray | None = No
                     baseline[lo:hi] + event_amplitude * kernel * drive[rows, None]
                 )
                 chunk[first : first + clean_rows] += clean  # = clean + noise, bit for bit
-        # NaN fails both comparisons, as does anything a trace file cannot store
-        if not (-_FLOAT32_MAX <= chunk.min() and chunk.max() <= _FLOAT32_MAX):
+        if not _in_float32_range(chunk):
             raise ConfigError("config drives amplitudes beyond the float32 range of trace files")
         yield chunk
 

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -470,6 +474,17 @@ EXIT_TABLE = {
     "PersistenceError": (4, "i/o error"),
     "NoEdgeError": (1, "error"),
 }
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    """Only the e2e sweep uses a thread pool, so no CLI path pays for importing one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hocdvs.cli; print('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _error_classes(cls):

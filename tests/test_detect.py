@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hocdvs import (
     METHOD_HOC,
+    METHOD_MOVING_AVERAGE,
     METHOD_MOVING_DIFFERENTIAL,
     DetectionReport,
     HocProfile,
@@ -33,6 +37,9 @@ def matrix(rows, mpp=1.0, rate=10000.0):
 
 def profile(values, mpp=1.0):
     return HocProfile(np.asarray(values, dtype=float), mpp)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 class TestHocProfile:
@@ -247,10 +254,9 @@ class TestLocatePeak:
         with pytest.raises(NoDetectionError, match="profile is identically zero"):
             locate_peak(profile([0.0, 0.0, 0.0]))
 
-    def test_non_finite_ignored(self):
-        assert locate_peak(profile([np.nan, 2.0, 1.0]))[0] == 1
-        with pytest.raises(NoDetectionError, match="profile has no finite values"):
-            locate_peak(profile([np.nan, np.inf]))
+    def test_largest_finite_magnitude_wins(self):
+        huge = float(np.finfo(np.float64).max)
+        assert locate_peak(profile([1.0, -huge, huge / 2]))[0] == 1
 
 
 class TestLocationSnr:
@@ -323,6 +329,28 @@ class TestSpatialResolution:
 
 
 class TestProfileProperties:
+    @given(
+        amps=hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 8)),
+                        elements=st.floats(-F32_MAX, F32_MAX)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_in_range_matrices_give_finite_profiles_and_reports(self, amps, data):
+        """Any matrix within the float32 range gives finite profiles, and the
+        pipeline ends in a report or in one of the two documented no-detections;
+        an overflow anywhere would raise its RuntimeWarning as an error."""
+        traces = matrix(amps)
+        window = data.draw(st.integers(2, traces.num_traces), label="window")
+        avg_len = data.draw(st.integers(1, window // 2), label="avg_len")
+        for prof in (hoc_profile(traces, window), moving_differential_profile(traces, window),
+                     moving_average_profile(traces, window, avg_len)):
+            assert np.isfinite(prof.values).all()
+        for method in (METHOD_HOC, METHOD_MOVING_DIFFERENTIAL, METHOD_MOVING_AVERAGE):
+            try:
+                analyze_traces(traces, method, window, avg_len=avg_len, guard=0)
+            except NoDetectionError as exc:
+                assert str(exc) in ("profile is identically zero", "background is exactly zero")
+
     def test_cubic_scale_equivariance(self):
         cfg = trace_config(0.2, seed=8)
         traces = synth_traces(cfg)
@@ -470,6 +498,12 @@ def test_report_requires_finite_peak_position(position):
 def test_profile_requires_non_empty_vector(values, shape):
     with pytest.raises(ValueError, match=f"values must be a non-empty vector, got shape {shape}"):
         profile(values)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_profile_requires_finite_values(value):
+    with pytest.raises(ValueError, match="values must be finite"):
+        profile([1.0, value, 2.0])
 
 
 def test_report_rejects_negative_peak_index():

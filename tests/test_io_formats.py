@@ -21,13 +21,16 @@ from hocdvs import (
 )
 from hocdvs.detect import METHOD_MOVING_DIFFERENTIAL
 from hocdvs.errors import ConfigError, PersistenceError
+from hocdvs.cli import main
+from hocdvs.experiments import trace_config
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
+from hocdvs.synth import format_sim_config
 
 F32_EPS = float(np.finfo(np.float32).eps)
 
 
-def small_matrix(rows, mpp=1.0, rate=10000.0, provenance="synthetic"):
-    return TraceMatrix(np.asarray(rows, dtype=float), mpp, rate, provenance)
+def small_matrix(rows, mpp=1.0, rate=10000.0):
+    return TraceMatrix(np.asarray(rows, dtype=float), mpp, rate)
 
 
 class TestTraceFile:
@@ -41,20 +44,55 @@ class TestTraceFile:
 
     def test_round_trip_metadata_and_payload(self, tmp_path):
         path = tmp_path / "t.hocdvs"
-        src = small_matrix([[1.5, -2.25], [0.0, 7.0]], mpp=0.5, rate=5000.0,
-                           provenance="recorded")
+        src = small_matrix([[1.5, -2.25], [0.0, 7.0]], mpp=0.5, rate=5000.0)
         write_traces(path, src)
         out = read_traces(path)
         assert out.meters_per_point == 0.5
         assert out.trace_rate_hz == 5000.0
-        assert out.provenance == "recorded"
         np.testing.assert_array_equal(out.amplitudes, src.amplitudes)
 
     def test_provenance_code_in_header(self, tmp_path):
-        for code, provenance in enumerate(("synthetic", "recorded")):
-            path = tmp_path / f"{provenance}.hocdvs"
-            write_traces(path, small_matrix([[1.0]], provenance=provenance))
-            assert path.read_bytes()[HEADER_SIZE - 1] == code
+        """Every writer puts 0 in the header's provenance byte."""
+        matrix_path, rows_path = tmp_path / "matrix.hocdvs", tmp_path / "rows.hocdvs"
+        write_traces(matrix_path, small_matrix([[1.0]]))
+        write_trace_rows(rows_path, (2, 3), 1.0, 10000.0, [np.ones((2, 3))])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(format_sim_config(trace_config(0.2, 0, fiber_points=40,
+                                                      vibration_point=20, num_traces=3)))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "cli.hocdvs")]) == 0
+        for name in ("matrix", "rows", "cli"):
+            assert (tmp_path / f"{name}.hocdvs").read_bytes()[HEADER_SIZE - 1] == 0
+
+    def test_recorded_provenance_code_still_reads(self, tmp_path):
+        path = tmp_path / "t.hocdvs"
+        src = small_matrix([[1.5, -2.25], [0.0, 7.0]])
+        write_traces(path, src)
+        blob = bytearray(path.read_bytes())
+        blob[HEADER_SIZE - 1] = 1
+        path.write_bytes(bytes(blob))
+        np.testing.assert_array_equal(read_traces(path).amplitudes, src.amplitudes)
+
+    def test_unknown_provenance_code(self, tmp_path, capsys):
+        path = tmp_path / "t.hocdvs"
+        write_traces(path, small_matrix([[1.0, 2.0]]))
+        blob = bytearray(path.read_bytes())
+        blob[HEADER_SIZE - 1] = 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PersistenceError, match="unknown provenance code 2"):
+            read_traces(path)
+        argv = ["analyze", "--traces", str(path), "--method", "mdiff", "--window", "2",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == PersistenceError.exit_code == 4
+        assert "unknown provenance code 2" in capsys.readouterr().err
+
+    def test_float32_extremes_round_trip_bit_for_bit(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        src = small_matrix([[top, -top, 0.0], [-top, 1.5, top]])
+        assert src.amplitudes.dtype == np.float64
+        path = tmp_path / "t.hocdvs"
+        write_traces(path, src)
+        out = read_traces(path)
+        assert np.array_equal(out.amplitudes.astype(np.float64), src.amplitudes)
 
     def test_failed_chunk_leaves_no_file(self, tmp_path):
         def chunks():
@@ -65,7 +103,7 @@ class TestTraceFile:
         existing.write_bytes(b"an earlier file")
         for path in (fresh, existing):
             with pytest.raises(ConfigError, match="chunk failed"):
-                write_trace_rows(path, (4, 3), 1.0, 10000.0, "synthetic", chunks())
+                write_trace_rows(path, (4, 3), 1.0, 10000.0, chunks())
             assert not path.exists()
 
     def test_round_trip_within_float32_ulp(self, tmp_path):
@@ -209,8 +247,10 @@ class TestProfileCsv:
         export_profile_csv(prof, path)
         assert path.read_text().splitlines()[0] == "position_m,value"
 
-    @pytest.mark.parametrize("row", ["0,abc", "1.0", "x,2.5"])
+    @pytest.mark.parametrize("row", ["0,abc", "1.0", "x,2.5", "0,nan", "1,inf", "1,-inf",
+                                     "nan,2.5", "inf,2.5"])
     def test_unparseable_row_names_path_and_line(self, tmp_path, row):
+        """export_profile_csv writes only finite numbers, so a non-finite one is corrupt."""
         path = tmp_path / "p.csv"
         path.write_text(f"position_m,value\n0,1.5\n{row}\n")
         with pytest.raises(PersistenceError, match=re.escape(f"{path}: line 3 ")):

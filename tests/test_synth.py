@@ -370,6 +370,21 @@ class TestTraceMatrixInvariants:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             TraceMatrix(bad, 1.0, 1000.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rejects_amplitudes_beyond_the_float32_range(self, sign):
+        top = float(np.finfo(np.float32).max)
+        beyond = np.ones((2, 3))
+        beyond[1, 2] = sign * np.nextafter(top, np.inf)
+        with pytest.raises(ValueError, match="amplitudes must be finite and within the float32"):
+            TraceMatrix(beyond, 1.0, 1000.0)
+        beyond[1, 2] = sign * top
+        assert TraceMatrix(beyond, 1.0, 1000.0).amplitudes[1, 2] == sign * top
+
+    def test_rejects_amplitudes_whose_profile_would_overflow(self):
+        huge = np.random.default_rng(0).standard_normal((100, 50)) * 1e110
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            TraceMatrix(huge, 1.0, 1000.0)
+
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError):
             TraceMatrix(np.ones(5), 1.0, 1000.0)
