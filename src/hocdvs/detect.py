@@ -53,9 +53,9 @@ METHOD_ALIASES = {
     "mavg": METHOD_MOVING_AVERAGE,
 }
 
-# Fiber points per block of hoc_profile: a float64 block of 500 traces is
-# 4 MB, which stays in cache while it is centred and cubed.
-HOC_BLOCK_POINTS = 1024
+# Fiber points per block of every profile: a float64 block of 500 traces
+# is 2 MB, which stays in cache while it is reduced.
+BLOCK_POINTS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,28 +105,28 @@ def _check_window(traces: TraceMatrix, window: int) -> None:
     if window < 2:
         raise ConfigError(f"window must be >= 2 traces, got {window}")
     if window > traces.num_traces:
-        raise ConfigError(
-            f"window {window} exceeds {traces.num_traces} traces"
-        )
+        raise ConfigError(f"window {window} exceeds {traces.num_traces} traces")
+
+
+def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
+    """Profile of `reduce` over each block of BLOCK_POINTS fiber points of the
+    first `rows` traces, widened into one C-ordered float64 buffer per call
+    that `reduce` may overwrite; no full-size float64 copy is ever made."""
+    amps, m = traces.amplitudes[:rows], traces.fiber_points
+    buf, values = np.empty(rows * min(m, BLOCK_POINTS)), np.empty(m)
+    for start in range(0, m, BLOCK_POINTS):
+        cols = slice(start, start + BLOCK_POINTS)
+        block = buf[: rows * min(BLOCK_POINTS, m - start)].reshape(rows, -1)
+        block[...] = amps[:, cols]
+        values[cols] = reduce(block)
+    return HocProfile(values, traces.meters_per_point)
 
 
 def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
-    """Zero-lag third cumulant of the first `window` residuals per point.
-
-    Residuals are taken about each point's mean over all traces, so a
-    static offset per point leaves the profile unchanged. The matrix is
-    processed in blocks of HOC_BLOCK_POINTS points, each widened to
-    float64, centred and cubed on its own, so no full-size float64 copy
-    is ever made.
-    """
+    """Zero-lag third cumulant of the first `window` residuals about each point's
+    mean over all traces; a static offset per point leaves the profile unchanged."""
     _check_window(traces, window)
-    amps = traces.amplitudes
-    values = np.empty(traces.fiber_points)
-    for start in range(0, traces.fiber_points, HOC_BLOCK_POINTS):
-        cols = slice(start, start + HOC_BLOCK_POINTS)
-        block = np.array(amps[:, cols], dtype=np.float64, order="C")
-        values[cols] = _centered_mean_cube(block, window)
-    return HocProfile(values, traces.meters_per_point)
+    return _blockwise(traces, traces.num_traces, lambda b: _centered_mean_cube(b, window))
 
 
 def _centered_mean_cube(block: np.ndarray, window: int) -> np.ndarray:
@@ -136,31 +136,26 @@ def _centered_mean_cube(block: np.ndarray, window: int) -> np.ndarray:
 
 
 def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:
-    """Mean absolute difference of consecutive traces per point."""
-    _check_window(traces, window)
-    diffs = np.abs(np.diff(np.asarray(traces.amplitudes[:window], dtype=np.float64), axis=0))
-    values = diffs.mean(axis=0)
-    return HocProfile(values, traces.meters_per_point)
+    """Mean absolute difference of consecutive traces per point (avg_len = 1)."""
+    return moving_average_profile(traces, window, 1)
 
 
 def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> HocProfile:
-    """Block-average avg_len consecutive traces, then difference the blocks.
-
-    avg_len = 1 reduces exactly to the moving differential.
-    """
+    """Block-average avg_len consecutive traces, then difference the blocks."""
     _check_window(traces, window)
     if not 1 <= avg_len <= window:
         raise ConfigError(f"avg_len must be in [1, {window}], got {avg_len}")
     blocks = window // avg_len
     if blocks < 2:
-        raise ConfigError(
-            f"avg_len {avg_len} leaves {blocks} block(s); need at least 2"
-        )
-    m = traces.fiber_points
-    rows = np.asarray(traces.amplitudes[: blocks * avg_len], dtype=np.float64)
-    averaged = rows.reshape(blocks, avg_len, m).mean(axis=1)
-    values = np.abs(np.diff(averaged, axis=0)).mean(axis=0)
-    return HocProfile(values, traces.meters_per_point)
+        raise ConfigError(f"avg_len {avg_len} leaves {blocks} block(s); need at least 2")
+
+    def reduce(block: np.ndarray) -> np.ndarray:
+        if avg_len > 1:  # length-1 rows are their own averages
+            block = block.reshape(blocks, avg_len, -1).mean(axis=1)
+        diffs = np.diff(block, axis=0)
+        return np.abs(diffs, out=diffs).mean(axis=0)
+
+    return _blockwise(traces, blocks * avg_len, reduce)
 
 
 def locate_peak(profile: HocProfile) -> tuple[int, float]:
@@ -173,7 +168,7 @@ def locate_peak(profile: HocProfile) -> tuple[int, float]:
 
 
 def location_snr(profile: HocProfile, peak_index: int, guard: int) -> float:
-    """dB ratio of the squared peak to the mean squared background.
+    """dB ratio of the squared peak to the mean squared background; finite for any profile.
 
     Background is every point farther than `guard` from the peak; guard
     should cover at least the pulse width so the event's own skirt stays
@@ -188,17 +183,22 @@ def location_snr(profile: HocProfile, peak_index: int, guard: int) -> float:
     background = vals[np.abs(np.arange(m) - peak_index) > guard]
     if background.size == 0:
         raise ConfigError(f"guard {guard} leaves no background samples")
-    bg_power = float(np.mean(background**2))
+    # scaled by 2**-eb, the largest square is in [1/4, 1): the mean neither overflows nor vanishes
+    eb = math.frexp(float(np.max(np.abs(background))))[1]
+    bg_power = float(np.mean(np.ldexp(background, -eb) ** 2))
     if bg_power == 0.0:
         raise NoDetectionError("background is exactly zero")
     peak_val = float(vals[peak_index])
     if peak_val == 0.0:
         raise NoDetectionError("value at peak_index is zero")
-    ratio = peak_val**2 / bg_power
+    try:
+        ratio = peak_val**2 / math.ldexp(bg_power, 2 * eb)
+    except (OverflowError, ZeroDivisionError):
+        ratio = 0.0
     if 0.0 < ratio < math.inf:
         return 10.0 * math.log10(ratio)
-    # the quotient over- or underflows; its logarithm does not
-    return 20.0 * math.log10(abs(peak_val)) - 10.0 * math.log10(bg_power)
+    # the ratio over- or underflows; its logarithm does not
+    return 20.0 * (math.log10(abs(peak_val)) - eb * math.log10(2.0)) - 10.0 * math.log10(bg_power)
 
 
 def spatial_resolution(profile: HocProfile, peak_index: int) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from hocdvs import (
     third_cumulant_zero_lag,
 )
 from hocdvs.errors import ConfigError, NoDetectionError, NoEdgeError
-from hocdvs.detect import HOC_BLOCK_POINTS
+from hocdvs.detect import BLOCK_POINTS
 from hocdvs.experiments import (
     DUTY_CYCLES,
     TRACE_PULSE_POINTS,
@@ -29,6 +31,35 @@ from hocdvs.experiments import (
     analyze_traces,
     trace_config,
 )
+
+
+def _full_width_hoc(raw, window):
+    residuals = np.asarray(raw, dtype=np.float64)
+    residuals = residuals - residuals.mean(axis=0)
+    w = residuals[:window]
+    return np.einsum("i...,i...,i...->...", w, w, w) / window
+
+
+def _full_width_mdiff(raw, window):
+    return np.abs(np.diff(np.asarray(raw[:window], dtype=np.float64), axis=0)).mean(axis=0)
+
+
+def _full_width_mavg(raw, window, avg_len):
+    blocks = window // avg_len
+    rows = np.asarray(raw[: blocks * avg_len], dtype=np.float64)
+    averaged = rows.reshape(blocks, avg_len, rows.shape[1]).mean(axis=1)
+    return np.abs(np.diff(averaged, axis=0)).mean(axis=0)
+
+
+# method -> (profile function, the same reduction over all points at once)
+FULL_WIDTH = {
+    "hoc": (hoc_profile, _full_width_hoc),
+    "mdiff": (moving_differential_profile, _full_width_mdiff),
+    "mavg": (lambda traces, window: moving_average_profile(traces, window, 2),
+             lambda raw, window: _full_width_mavg(raw, window, 2)),
+    "mavg3": (lambda traces, window: moving_average_profile(traces, window, 3),
+              lambda raw, window: _full_width_mavg(raw, window, 3)),
+}
 
 
 def matrix(rows, mpp=1.0, rate=10000.0):
@@ -56,25 +87,65 @@ class TestHocProfile:
             expected = third_cumulant_zero_lag(residuals[:, col])
             assert prof.values[col] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["hoc", "mdiff", "mavg"])
     @pytest.mark.parametrize(
         "offset, traces, points, window",
         [pytest.param(3.0, 12, points, 9, id=str(points))
-         for points in (1, HOC_BLOCK_POINTS - 1, HOC_BLOCK_POINTS, HOC_BLOCK_POINTS + 1,
-                        2 * HOC_BLOCK_POINTS + 3)]
+         for points in (1, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,
+                        2 * BLOCK_POINTS + 3)]
         + [pytest.param(5.0, 20, 4, 20, id="offset5-20x4")],
     )
-    def test_block_boundaries(self, offset, traces, points, window):
+    def test_block_boundaries(self, method, offset, traces, points, window):
         rng = np.random.default_rng(points)
         raw = offset + rng.gamma(2.0, size=(traces, points))
-        residuals = raw - raw.mean(axis=0)
-        ref = np.mean(residuals[:window] ** 3, axis=0)
-        got = hoc_profile(matrix(raw), window=window).values
+        make, reference = FULL_WIDTH[method]
+        if method == "hoc":  # numpy's pow, independent of the einsum kernel
+            ref = np.mean((raw - raw.mean(axis=0))[:window] ** 3, axis=0)
+        else:
+            ref = reference(raw, window)
+        got = make(matrix(raw), window).values
         assert got.shape == (points,)
         assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("method", ["hoc", "mdiff", "mavg", "mavg3"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_width_formula(self, method, data):
+        # bit for bit, except a one-point last block, which numpy sums pairwise
+        traces = data.draw(st.integers(6, 24), label="traces")
+        points = data.draw(st.sampled_from(
+            [1, 2, 7, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 3]
+        ) | st.integers(1, 3 * BLOCK_POINTS), label="points")
+        window = data.draw(st.integers(6, traces), label="window")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        raw = (rng.normal() + rng.gamma(2.0, size=(traces, points))).astype(dtype)
+        make, reference = FULL_WIDTH[method]
+        got = make(TraceMatrix(raw, 1.0, 10000.0), window).values
+        ref = reference(raw, window)
+        if points % BLOCK_POINTS == 1:
+            assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("method", ["hoc", "mdiff", "mavg"])
+    def test_peak_memory_is_one_block_plus_the_profile(self, method):
+        # 20 x 200,000 float32 is 16 MB, 32 MB widened; the profile alone is 1.6 MB
+        raw32 = np.random.default_rng(8).normal(size=(20, 200_000)).astype(np.float32)
+        traces = TraceMatrix(raw32, 1.0, 10000.0)
+        make, _ = FULL_WIDTH[method]
+        tracemalloc.start()
+        try:
+            make(traces, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_float32_input_matches_its_float64_widening(self):
         rng = np.random.default_rng(5)
-        raw32 = (2.8 + rng.gamma(2.0, 0.03, size=(30, HOC_BLOCK_POINTS + 7))).astype(np.float32)
+        raw32 = (2.8 + rng.gamma(2.0, 0.03, size=(30, BLOCK_POINTS + 7))).astype(np.float32)
         got = hoc_profile(TraceMatrix(raw32, 1.0, 10000.0), window=25)
         wide = hoc_profile(TraceMatrix(raw32.astype(np.float64), 1.0, 10000.0), window=25)
         np.testing.assert_array_equal(got.values, wide.values)
@@ -202,10 +273,11 @@ class TestMovingDifferential:
 class TestMovingAverage:
     def test_avg_len_one_equals_moving_differential(self):
         rng = np.random.default_rng(10)
-        traces = matrix(rng.normal(size=(30, 12)))
-        a = moving_average_profile(traces, window=30, avg_len=1)
-        b = moving_differential_profile(traces, window=30)
-        np.testing.assert_array_equal(a.values, b.values)
+        raw = rng.normal(size=(30, 12))
+        expected = np.abs(np.diff(raw[:25], axis=0)).mean(axis=0)
+        for prof in (moving_average_profile(matrix(raw), window=25, avg_len=1),
+                     moving_differential_profile(matrix(raw), window=25)):
+            np.testing.assert_array_equal(prof.values, expected)
 
     def test_noise_floor_decreases_with_avg_len(self):
         rng = np.random.default_rng(12)
@@ -284,6 +356,22 @@ class TestLocationSnr:
     def test_zero_peak_value(self):
         with pytest.raises(NoDetectionError, match="value at peak_index is zero"):
             location_snr(profile([0.0, 1.0, 1.0, 1.0]), peak_index=0, guard=0)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # the peak's square overflows a float
+            pytest.param([1e200, 1.0, 2.0], 4000.0 - 10.0 * np.log10(2.5), id="huge-peak"),
+            # the background's squares overflow a float
+            pytest.param([1.0, 1e200, 2.0], -4000.0 + 10.0 * np.log10(2.0), id="huge-background"),
+            # every background square underflows to zero, though the background is not zero
+            pytest.param([1e-200, 1e-300, 0.0, 1e-310], 2000.0 + 10.0 * np.log10(3.0),
+                         id="tiny-background"),
+        ],
+    )
+    def test_finite_db_where_squares_leave_the_float_range(self, values, expected):
+        got = location_snr(profile(values), peak_index=0, guard=0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_underflowing_ratio_uses_logarithms(self):
         # 1e-200**2 / 1e200 underflows to 0; the dB value is still finite
