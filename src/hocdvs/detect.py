@@ -119,6 +119,7 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
         block = buf[: rows * min(BLOCK_POINTS, m - start)].reshape(rows, -1)
         block[...] = amps[:, cols]
         values[cols] = reduce(block)
+    values.setflags(write=False)  # hand the fresh profile over without a copy
     return HocProfile(values, traces.meters_per_point)
 
 
@@ -126,13 +127,12 @@ def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
     """Zero-lag third cumulant of the first `window` residuals about each point's
     mean over all traces; a static offset per point leaves the profile unchanged."""
     _check_window(traces, window)
-    return _blockwise(traces, traces.num_traces, lambda b: _centered_mean_cube(b, window))
 
+    def reduce(block: np.ndarray) -> np.ndarray:
+        block -= block.mean(axis=0)  # centred in place by column
+        return mean_cube_axis0(block[:window])
 
-def _centered_mean_cube(block: np.ndarray, window: int) -> np.ndarray:
-    """Centre a float64 block in place by column; the mean cube of its first `window` rows."""
-    block -= block.mean(axis=0)
-    return mean_cube_axis0(block[:window])
+    return _blockwise(traces, traces.num_traces, reduce)
 
 
 def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:

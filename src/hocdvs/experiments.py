@@ -27,11 +27,11 @@ from .synth import (
     SquareWaveSpec,
     TraceMatrix,
     _sim_config,
-    _trace_rows,
     asymmetrize,
     config_digest,
     gen_square_wave,
     gen_truncated_gaussian,
+    synth_traces,
 )
 
 # Value intervals (each holding ~10% of the probability mass) mirrored to
@@ -234,7 +234,7 @@ def analyze_traces(
     avg_len: int = TRACE_AVG_LEN,
     guard: int = TRACE_GUARD,
 ) -> tuple[detect.HocProfile, detect.DetectionReport]:
-    """Run one method end to end: profile, peak, location SNR, resolution."""
+    """Run one method end to end: profile, peak, location SNR, 10-90% resolution or None."""
     if method == detect.METHOD_HOC:
         profile = detect.hoc_profile(traces, window)
     elif method == detect.METHOD_MOVING_DIFFERENTIAL:
@@ -243,18 +243,13 @@ def analyze_traces(
         profile = detect.moving_average_profile(traces, window, avg_len)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return profile, _report(profile, method, guard)
-
-
-def _report(profile: detect.HocProfile, method: str, guard: int) -> detect.DetectionReport:
-    """Peak, location SNR and 10-90% resolution (None without an edge) of a profile."""
     peak_index, position_m = detect.locate_peak(profile)
     snr = detect.location_snr(profile, peak_index, guard)
     try:
         resolution = detect.spatial_resolution(profile, peak_index)
     except NoEdgeError:
         resolution = None
-    return detect.DetectionReport(
+    return profile, detect.DetectionReport(
         peak_index=peak_index,
         peak_position_m=position_m,
         location_snr_db=snr,
@@ -264,17 +259,12 @@ def _report(profile: detect.HocProfile, method: str, guard: int) -> detect.Detec
 
 
 def _sweep_part(pairs) -> list:
-    """The (duty, seed, report) rows of some pairs, as analyze_traces(synth_traces(cfg),
-    hoc) would give them, every config drawn into one reused buffer."""
-    buf = np.empty((TRACE_COUNT, TRACE_FIBER_POINTS))
-    rows = []
-    for duty, seed in pairs:
-        cfg = trace_config(duty, seed)
-        (amplitudes,) = _trace_rows(cfg, TRACE_COUNT, out=buf)
-        profile = detect.HocProfile(detect._centered_mean_cube(amplitudes, TRACE_WINDOW),
-                                    cfg.meters_per_point)
-        rows.append((duty, seed, _report(profile, detect.METHOD_HOC, TRACE_GUARD)))
-    return rows
+    """The (duty, seed, report) rows of some (duty, seed) pairs, hoc at trace scale."""
+    return [
+        (duty, seed, analyze_traces(synth_traces(trace_config(duty, seed)),
+                                    detect.METHOD_HOC, TRACE_WINDOW)[1])
+        for duty, seed in pairs
+    ]
 
 
 def localization_sweep(seeds):

@@ -19,8 +19,8 @@ factor (1 + eta) multiplying the whole optical amplitude.
 
 Each config is generated on one thread, fully determined by the config,
 seed included; the e2e sweep spreads configs over the usable CPUs. A trace
-matrix also comes in row chunks, equal bit for bit at any chunk size, fresh
-or drawn into a reused buffer, so `hocdvs simulate` can write a file beyond memory.
+matrix also comes in row chunks, equal bit for bit at any chunk size, so
+`hocdvs simulate` can write a file beyond memory.
 One amplitude rule holds everywhere: within the float32 range of trace files.
 """
 
@@ -247,10 +247,10 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
     )
 
 
-def _trace_rows(cfg: SimConfig, rows_per_chunk: int, out: np.ndarray | None = None):
-    """Yield the trace matrix in float64 chunks of rows_per_chunk traces (the last may be
-    shorter) within the float32 range of trace files, drawing phases, polarization factors,
-    then noise chunk by chunk; each chunk is fresh, or overwrites the first rows of `out`."""
+def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
+    """Yield the trace matrix in fresh float64 chunks of rows_per_chunk traces (the last
+    may be shorter) within the float32 range of trace files, drawing phases, polarization
+    factors, then noise chunk by chunk."""
     rng = np.random.default_rng(cfg.seed)
     m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
 
@@ -267,7 +267,7 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int, out: np.ndarray | None = No
     clean_rows = max(1, (1 << 15) // m)  # clean rows added at a time: 256 KB stays in cache
     for start in range(0, w, rows_per_chunk):
         n = min(rows_per_chunk, w - start)
-        chunk = rng.standard_normal((n, m), out=None if out is None else out[:n])
+        chunk = rng.standard_normal((n, m))
         with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
             chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
             for first in range(0, n, clean_rows):

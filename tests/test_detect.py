@@ -141,7 +141,7 @@ class TestHocProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 2.5e6
 
     def test_float32_input_matches_its_float64_widening(self):
         rng = np.random.default_rng(5)

@@ -172,6 +172,24 @@ def test_localization_sweep_does_not_depend_on_the_worker_count(monkeypatch, cpu
     assert rows == expected
 
 
+def test_localization_sweep_runs_analyze_traces_once_per_pair(monkeypatch):
+    calls = []
+    analyze = experiments.analyze_traces
+
+    def counted(traces, method, window, **kwargs):
+        result = analyze(traces, method, window, **kwargs)
+        calls.append((method, window, kwargs, traces.amplitudes.shape, result[1]))
+        return result
+
+    monkeypatch.setattr(experiments, "analyze_traces", counted)
+    rows = localization_sweep(seeds=range(3))
+    assert len(calls) == 12 == len(DUTY_CYCLES) * 3
+    assert {call[:2] for call in calls} == {("hoc", 100)}
+    assert all(not kwargs and shape == (100, 1500) for _, _, kwargs, shape, _ in calls)
+    # each row's report is the one its own analyze_traces call returned
+    assert sorted(id(call[4]) for call in calls) == sorted(id(report) for _, _, report in rows)
+
+
 def test_localization_sweep_failure_in_a_pool_part_reaches_the_caller(monkeypatch):
     _set_usable_cpus(monkeypatch, 3)
     make_config = experiments.trace_config
