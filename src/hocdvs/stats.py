@@ -4,10 +4,11 @@ The third-order cumulant is the mean of triple products of deviations
 from the mean; it vanishes for any distribution that is symmetric about
 its mean, so it separates skewed signals from Gaussian-like noise. Each
 estimator takes a 1-D array-like of finite reals and centres it itself,
-since a cumulant is defined about the mean; `mean_cube_axis0` is their
-shared kernel. They reduce the samples scaled by a power of two, so any
-finite input whose cumulant is in the float range gives that cumulant,
-never NaN or an overflow.
+since a cumulant is defined about the mean; the zero-lag estimate is the
+lagged one at lags (0, 0). They reduce the samples scaled by a power of
+two, so any finite input whose cumulant is in the float range gives that
+cumulant, never NaN or an overflow. `mean_cube_axis0` is the column kernel
+of the hoc profile and the fig1 preset.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def mean_cube_axis0(values: np.ndarray) -> np.ndarray:
 
 
 def third_cumulant_zero_lag(x) -> float:
-    """Mean cube of x about its mean (both lags zero). Raises ValueError when
-    the cumulant exceeds the float range."""
-    s, e = _centered(x)
-    return _unscaled(float(mean_cube_axis0(s)), e)
+    """Mean cube of x about its mean: the lagged estimate at both lags zero.
+    Raises ValueError when the cumulant exceeds the float range."""
+    return third_cumulant_lagged(x, 0, 0)

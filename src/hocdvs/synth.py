@@ -178,6 +178,8 @@ class TraceMatrix:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.amplitudes)
+        if np.iscomplexobj(arr):  # astype(float) would drop the imaginary part
+            raise ValueError("amplitudes must be real; take the magnitude of I/Q data first")
         if arr.dtype not in _AMPLITUDE_DTYPES:
             arr = arr.astype(float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -264,7 +266,10 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
     kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
     drive = gen_square_wave(w, cfg.vibration)
     event_amplitude = cfg.vibration_depth * baseline[p]
-    clean_rows = max(1, (1 << 15) // m)  # clean rows added at a time: 256 KB stays in cache
+    # Clean rows are added 256 KB at a time. One clean array per chunk (1.2 MB at trace
+    # scale) was bit-identical but page-faulted afresh: 110,800 minor faults per 200
+    # trace-scale matrices against 0, and 4.4-5.1 against 3.5-4.1 ms each, on one CPU.
+    clean_rows = max(1, (1 << 15) // m)
     for start in range(0, w, rows_per_chunk):
         n = min(rows_per_chunk, w - start)
         chunk = rng.standard_normal((n, m))

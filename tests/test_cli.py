@@ -39,7 +39,6 @@ from hocdvs.experiments import (
     PRESETS,
     mix_at_snr1,
     run_preset,
-    snr2_db,
     snr2_statistics,
     trace_config,
 )
@@ -526,14 +525,10 @@ def _read_edited_trace_file(tmp_path, edit):
 CONDITIONS = {
     "EmptySequenceError": (lambda tmp: third_cumulant_zero_lag(np.empty(0)),
                            HocdvsError, "at least one sample"),
-    "NotCenteredError": (lambda tmp: snr2_db(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])),
-                         HocdvsError, "row is not centered"),
     "LagTooLargeError": (lambda tmp: third_cumulant_lagged(np.array([1.0, -1.0]), 2, 0),
                          HocdvsError, "lag 2 >= sequence length 2"),
     "ZeroSignalError": (lambda tmp: mix_at_snr1(np.zeros(10), 0.0, np.ones(10)),
                         HocdvsError, "zero-power signal"),
-    "PowerMismatchError": (lambda tmp: snr2_db(np.array([[1.0, -1.0]]), np.array([[3.0, -3.0]])),
-                           HocdvsError, "powers differ by more than 1%"),
     "DegenerateNoiseReferenceError": (lambda tmp: _exhaust_noise_references(),
                                       HocdvsError, "no stable noise reference in 64 attempts"),
     "EmptyRequestError": (lambda tmp: gen_truncated_gaussian(0, seed=0),

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,16 @@ class TestTraceMatrixInvariants:
         huge = np.random.default_rng(0).standard_normal((100, 50)) * 1e110
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             TraceMatrix(huge, 1.0, 1000.0)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_rejects_complex_amplitudes(self, dtype):
+        # I/Q samples would lose their imaginary part in the float cast
+        iq = np.ones((2, 2), dtype=dtype) * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="take the magnitude of I/Q data first"):
+                TraceMatrix(iq, 1.0, 1000.0)
+        assert np.array_equal(TraceMatrix(np.abs(iq), 1.0, 1000.0).amplitudes, np.abs(iq))
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError):
