@@ -22,7 +22,7 @@ EXIT_CONFIG = ConfigError.exit_code
 EXIT_NO_DETECTION = NoDetectionError.exit_code
 EXIT_IO = PersistenceError.exit_code
 
-# float64 bytes per chunk simulate synthesizes and writes (at least one row)
+# float64 bytes per chunk simulate synthesizes, then writes as float32 (at least one row)
 _CHUNK_BYTES = 1 << 20
 
 

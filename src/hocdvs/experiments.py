@@ -141,6 +141,8 @@ def snr2_db(mixed: np.ndarray, noise_ref: np.ndarray) -> list[float]:
     floor (a constant row among them) cannot anchor the ratio and gives NaN,
     for the caller to redraw.
     """
+    if mixed.ndim != 2 or mixed.shape != noise_ref.shape:
+        raise ValueError(f"need S x L stacks of one shape, got {mixed.shape}, {noise_ref.shape}")
     mixed = mixed - mixed.mean(axis=1, keepdims=True)
     noise_ref = noise_ref - noise_ref.mean(axis=1, keepdims=True)
     target_power = np.mean(mixed**2, axis=1, keepdims=True)

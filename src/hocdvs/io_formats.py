@@ -14,7 +14,7 @@ Trace file layout (little-endian throughout):
 
 Amplitudes are stored as float32: acquisition hardware is 8-14 bit, so
 single precision loses nothing while halving file size; every TraceMatrix
-fits that range. Metadata stays float64. The payload is written in row
+holds float32. Metadata stays float64. The payload is written in row
 chunks; a failed write leaves no file.
 """
 
@@ -48,7 +48,7 @@ HEADER_SIZE = _HEADER.size
 
 
 def write_traces(path, traces: TraceMatrix) -> None:
-    """Write a trace matrix; read_traces inverts it within float32 rounding."""
+    """Write a trace matrix; read_traces inverts it exactly."""
     write_trace_rows(path, traces.amplitudes.shape, traces.meters_per_point,
                      traces.trace_rate_hz, [traces.amplitudes])
 

@@ -21,7 +21,9 @@ Each config is generated on one thread, fully determined by the config,
 seed included; the e2e sweep spreads configs over the usable CPUs. A trace
 matrix also comes in row chunks, equal bit for bit at any chunk size, so
 `hocdvs simulate` can write a file beyond memory.
-One amplitude rule holds everywhere: within the float32 range of trace files.
+One amplitude rule holds everywhere: a trace matrix is float32, as a trace
+file is. Synthesis computes in float64 and casts each chunk once, so a
+matrix in memory is bit for bit the matrix that `simulate` writes.
 """
 
 from __future__ import annotations
@@ -146,30 +148,25 @@ class SimConfig:
         _check_fiber_extent(self.meters_per_point, self.fiber_points, ConfigError)
 
 
-_AMPLITUDE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """Return arr read-only, copying it unless it owns its data and is
-    already read-only, so no caller can write to the result."""
-    if not arr.flags.owndata or arr.flags.writeable:
-        arr = arr.copy()
+def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
+    """Return arr read-only as dtype, copying it unless it has that dtype, owns its
+    data and is already read-only, so no caller can write to the result."""
+    if arr.dtype != dtype or not arr.flags.owndata or arr.flags.writeable:
+        arr = arr.astype(dtype, order="C")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class TraceMatrix:
-    """W traces by M fiber points of backscattering amplitudes, each within
-    the float32 range, so any matrix can be written to a trace file.
+    """W traces by M fiber points of float32 backscattering amplitudes, as a
+    trace file holds them, so write_traces and read_traces round-trip exactly.
 
-    The stored matrix is read-only and private to the instance. A float32
-    or float64 matrix keeps its dtype (read_traces hands over the file's
-    float32 payload); anything else becomes float64. It is frozen by the
-    rule of _freeze, which takes over an array that owns its data
-    and is already read-only: that is how read_traces and synth_traces
-    hand over the matrices they have just made without paying for a
-    second copy.
+    The input is checked against the float32 range before it is cast. The
+    stored matrix is read-only and private to the instance, frozen by the rule
+    of _freeze, which takes over a float32 array that owns its data and is
+    already read-only: that is how read_traces and synth_traces hand over the
+    matrices they have just made without paying for a second copy.
     """
 
     amplitudes: np.ndarray
@@ -180,8 +177,8 @@ class TraceMatrix:
         arr = np.asarray(self.amplitudes)
         if np.iscomplexobj(arr):  # astype(float) would drop the imaginary part
             raise ValueError("amplitudes must be real; take the magnitude of I/Q data first")
-        if arr.dtype not in _AMPLITUDE_DTYPES:
-            arr = arr.astype(float)
+        if arr.dtype != np.float32:
+            arr = arr.astype(float, copy=False)  # a string matrix raises ValueError here
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"amplitudes must be a W x M matrix, got shape {arr.shape}")
         if not _in_float32_range(arr):
@@ -189,7 +186,7 @@ class TraceMatrix:
         if not (_finite_positive(self.meters_per_point) and _finite_positive(self.trace_rate_hz)):
             raise ValueError("meters_per_point and trace_rate_hz must be finite and > 0")
         _check_fiber_extent(self.meters_per_point, arr.shape[1], ValueError)
-        object.__setattr__(self, "amplitudes", _freeze(arr))
+        object.__setattr__(self, "amplitudes", _freeze(arr, np.float32))
 
     @property
     def num_traces(self) -> int:
@@ -239,7 +236,8 @@ def gen_square_wave(n: int, spec: SquareWaveSpec) -> np.ndarray:
 
 
 def synth_traces(cfg: SimConfig) -> TraceMatrix:
-    """Generate one seeded trace matrix under the amplitude-level model."""
+    """Generate one seeded trace matrix under the amplitude-level model, in one
+    chunk: its peak is the float64 matrix plus its float32 copy."""
     (amplitudes,) = _trace_rows(cfg, cfg.num_traces)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
@@ -250,9 +248,9 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
 
 
 def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
-    """Yield the trace matrix in fresh float64 chunks of rows_per_chunk traces (the last
-    may be shorter) within the float32 range of trace files, drawing phases, polarization
-    factors, then noise chunk by chunk."""
+    """Yield the trace matrix in fresh float32 chunks of rows_per_chunk traces (the last
+    may be shorter), drawing phases, polarization factors, then noise chunk by chunk.
+    Each chunk is computed in float64, checked against the float32 range, then cast."""
     rng = np.random.default_rng(cfg.seed)
     m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
 
@@ -284,7 +282,7 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
                 chunk[first : first + clean_rows] += clean  # = clean + noise, bit for bit
         if not _in_float32_range(chunk):
             raise ConfigError("config drives amplitudes beyond the float32 range of trace files")
-        yield chunk
+        yield chunk.astype(np.float32)
 
 
 # --- plain-text config files ---------------------------------------------------

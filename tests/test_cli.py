@@ -214,6 +214,20 @@ class TestAnalyze:
         profile = (out_dir / "profile_hoc.csv").read_text().splitlines()
         assert len(profile) == 1501
 
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_report_equals_the_e2e_preset_row_of_its_config(self, tmp_path, config_file, seed):
+        # the e2e preset analyzes synth_traces(cfg) in memory, as simulate writes it
+        for duty, _, row in experiments.localization_sweep([seed]):
+            traces, out_dir = tmp_path / f"{duty}.hocdvs", tmp_path / f"ana{duty}"
+            assert main(["simulate", "--config", str(config_file(duty, seed)),
+                         "--out", str(traces)]) == EXIT_OK
+            assert main(["analyze", "--traces", str(traces), "--method", "hoc",
+                         "--window", "100", "--out", str(out_dir)]) == EXIT_OK
+            report = json.loads((out_dir / "report_hoc.json").read_text())
+            for key in ("peak_index", "peak_position_m", "location_snr_db",
+                        "spatial_resolution_m"):
+                assert report[key] == getattr(row, key), (duty, key)
+
     def test_noise_only_below_threshold_exits_3(self, tmp_path, config_file, capsys):
         out = tmp_path / "noise.hocdvs"
         main(["simulate", "--config",

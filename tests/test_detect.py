@@ -66,6 +66,11 @@ def matrix(rows, mpp=1.0, rate=10000.0):
     return TraceMatrix(np.asarray(rows, dtype=float), mpp, rate)
 
 
+def stored(raw):
+    """raw as a TraceMatrix stores it (float32), widened back for a float64 reference."""
+    return np.asarray(raw, dtype=np.float32).astype(np.float64)
+
+
 def profile(values, mpp=1.0):
     return HocProfile(np.asarray(values, dtype=float), mpp)
 
@@ -80,7 +85,7 @@ class TestHocProfile:
 
     def test_matches_zero_lag_cumulant_per_column(self):
         rng = np.random.default_rng(77)
-        raw = rng.normal(size=(50, 6))
+        raw = stored(rng.normal(size=(50, 6)))
         residuals = raw - raw.mean(axis=0)
         prof = hoc_profile(matrix(raw), window=50)
         for col in range(6):
@@ -97,7 +102,7 @@ class TestHocProfile:
     )
     def test_block_boundaries(self, method, offset, traces, points, window):
         rng = np.random.default_rng(points)
-        raw = offset + rng.gamma(2.0, size=(traces, points))
+        raw = stored(offset + rng.gamma(2.0, size=(traces, points)))
         make, reference = FULL_WIDTH[method]
         if method == "hoc":  # numpy's pow, independent of the einsum kernel
             ref = np.mean((raw - raw.mean(axis=0))[:window] ** 3, axis=0)
@@ -117,10 +122,9 @@ class TestHocProfile:
             [1, 2, 7, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 3]
         ) | st.integers(1, 3 * BLOCK_POINTS), label="points")
         window = data.draw(st.integers(6, traces), label="window")
-        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
-        raw = (rng.normal() + rng.gamma(2.0, size=(traces, points))).astype(dtype)
+        raw = (rng.normal() + rng.gamma(2.0, size=(traces, points))).astype(np.float32)
         make, reference = FULL_WIDTH[method]
         got = make(TraceMatrix(raw, 1.0, 10000.0), window).values
         ref = reference(raw, window)
@@ -143,17 +147,10 @@ class TestHocProfile:
             tracemalloc.stop()
         assert peak < 2.5e6
 
-    def test_float32_input_matches_its_float64_widening(self):
-        rng = np.random.default_rng(5)
-        raw32 = (2.8 + rng.gamma(2.0, 0.03, size=(30, BLOCK_POINTS + 7))).astype(np.float32)
-        got = hoc_profile(TraceMatrix(raw32, 1.0, 10000.0), window=25)
-        wide = hoc_profile(TraceMatrix(raw32.astype(np.float64), 1.0, 10000.0), window=25)
-        np.testing.assert_array_equal(got.values, wide.values)
-
     def test_window_below_traces_centres_over_all_traces(self):
         # the perfbench reference: mean over all W traces, cube of the first window
         rng = np.random.default_rng(9)
-        raw = 2.0 + rng.gamma(2.0, size=(40, 50))
+        raw = stored(2.0 + rng.gamma(2.0, size=(40, 50)))
         mean_all = raw.sum(axis=0) / 40
         resid = raw[:25] - mean_all
         ref = (resid * resid * resid).sum(axis=0) / 25
@@ -205,8 +202,9 @@ class TestHocProfile:
         # skewed residuals about each point's mean over all 40 traces
         rng = np.random.default_rng(21)
         raw = rng.gamma(2.0, size=(40, 300))
-        residuals = raw - raw.mean(axis=0)
-        ref = np.mean(residuals[:window] ** 3, axis=0)
+        residuals = stored(raw - raw.mean(axis=0))
+        centred = residuals - residuals.mean(axis=0)  # the float32 cast moved each mean
+        ref = np.mean(centred[:window] ** 3, axis=0)
         got = hoc_profile(matrix(residuals), window).values
         assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
@@ -260,7 +258,11 @@ class TestMovingDifferential:
         kernel = np.clip(1.0 - np.abs(np.arange(cfg.fiber_points) - vp) / pw, 0.0, None)
         peak = prof.values[vp]
         assert peak > 0
-        np.testing.assert_allclose(prof.values, peak * kernel, atol=1e-12 * peak)
+        # float32 storage rounds each amplitude by at most eps/2 * max|amplitude|,
+        # so a difference of two by at most eps * max|amplitude|
+        amps = synth_traces(cfg).amplitudes
+        atol = float(np.finfo(np.float32).eps) * float(np.max(np.abs(amps)))
+        np.testing.assert_allclose(prof.values, peak * kernel, atol=atol)
 
     def test_peak_agrees_with_hoc_on_clean_input(self):
         cfg = trace_config(0.2, seed=6, noise_sigma=0.001, sop_sigma=0.0)
@@ -273,7 +275,7 @@ class TestMovingDifferential:
 class TestMovingAverage:
     def test_avg_len_one_equals_moving_differential(self):
         rng = np.random.default_rng(10)
-        raw = rng.normal(size=(30, 12))
+        raw = stored(rng.normal(size=(30, 12)))
         expected = np.abs(np.diff(raw[:25], axis=0)).mean(axis=0)
         for prof in (moving_average_profile(matrix(raw), window=25, avg_len=1),
                      moving_differential_profile(matrix(raw), window=25)):
@@ -449,8 +451,14 @@ class TestProfileProperties:
         base = hoc_profile(traces, TRACE_WINDOW)
         boosted = hoc_profile(scaled, TRACE_WINDOW)
         # tolerance is relative to the profile scale: points where the cubes
-        # almost cancel cannot hold a pointwise-relative bound
-        atol = 1e-12 * float(np.max(np.abs(boosted.values)))
+        # almost cancel cannot hold a pointwise-relative bound. Storing the scaled
+        # matrix as float32 moves each residual r by at most
+        # delta = eps * max|amplitude|, so each cube by at most 3 delta (|r| + delta)**2.
+        amps = scaled.amplitudes.astype(float)
+        delta = float(np.finfo(np.float32).eps) * float(np.max(np.abs(amps)))
+        r_max = float(np.max(np.abs(amps - amps.mean(axis=0))))
+        atol = (1e-12 * float(np.max(np.abs(boosted.values)))
+                + 3 * delta * (r_max + delta) ** 2)
         np.testing.assert_allclose(boosted.values, scale**3 * base.values,
                                    rtol=1e-12, atol=atol)
         assert locate_peak(base)[0] == locate_peak(boosted)[0]

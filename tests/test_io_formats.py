@@ -26,8 +26,6 @@ from hocdvs.experiments import trace_config
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
 from hocdvs.synth import format_sim_config
 
-F32_EPS = float(np.finfo(np.float32).eps)
-
 
 def small_matrix(rows, mpp=1.0, rate=10000.0):
     return TraceMatrix(np.asarray(rows, dtype=float), mpp, rate)
@@ -88,11 +86,11 @@ class TestTraceFile:
     def test_float32_extremes_round_trip_bit_for_bit(self, tmp_path):
         top = float(np.finfo(np.float32).max)
         src = small_matrix([[top, -top, 0.0], [-top, 1.5, top]])
-        assert src.amplitudes.dtype == np.float64
         path = tmp_path / "t.hocdvs"
         write_traces(path, src)
         out = read_traces(path)
-        assert np.array_equal(out.amplitudes.astype(np.float64), src.amplitudes)
+        assert out.amplitudes.dtype == src.amplitudes.dtype == np.float32
+        assert out.amplitudes.tobytes() == src.amplitudes.tobytes()
 
     def test_failed_chunk_leaves_no_file(self, tmp_path):
         def chunks():
@@ -106,14 +104,12 @@ class TestTraceFile:
                 write_trace_rows(path, (4, 3), 1.0, 10000.0, chunks())
             assert not path.exists()
 
-    def test_round_trip_within_float32_ulp(self, tmp_path):
+    def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         src = small_matrix(rng.normal(0.0, 3.0, size=(100, 1500)))
         path = tmp_path / "big.hocdvs"
         write_traces(path, src)
-        out = read_traces(path)
-        bound = F32_EPS * float(np.max(np.abs(src.amplitudes)))
-        assert float(np.max(np.abs(out.amplitudes - src.amplitudes))) <= bound
+        assert np.array_equal(read_traces(path).amplitudes, src.amplitudes)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.hocdvs"
@@ -210,9 +206,8 @@ class TestTraceFile:
         path = tmp_path_factory.mktemp("rt") / "t.hocdvs"
         write_traces(path, src)
         out = read_traces(path)
-        bound = F32_EPS * max(1.0, float(np.max(np.abs(src.amplitudes))))
         assert out.amplitudes.shape == (w, m)
-        assert float(np.max(np.abs(out.amplitudes - src.amplitudes))) <= bound
+        assert np.array_equal(out.amplitudes, src.amplitudes)
 
 
 class TestProfileCsv:

@@ -254,6 +254,16 @@ class TestSnr2Db:
             assert [got[row]] == snr2_db(mixed[row : row + 1], ref[row : row + 1])
         assert math.isnan(got[4])
 
+    @pytest.mark.parametrize("mixed_shape, ref_shape", [
+        ((1, 80), (3, 80)),  # fewer mixed rows than references
+        ((3, 50), (3, 80)),  # rows of different lengths
+        ((80,), (80,)),  # one row, not a stack
+    ])
+    def test_stacks_must_share_one_s_by_l_shape(self, mixed_shape, ref_shape):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match="need S x L stacks of one shape"):
+            snr2_db(rng.exponential(1.0, mixed_shape), rng.standard_normal(ref_shape))
+
     def test_inputs_are_left_unchanged(self):
         rng = np.random.default_rng(8)
         mixed = rng.exponential(1.0, (3, 30))

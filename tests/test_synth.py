@@ -183,7 +183,7 @@ class TestMixAtSnr1:
 
 def full_matrix_amplitudes(cfg):
     """synth_traces as one full-matrix expression: every W x M term built
-    in full, the noise drawn with rng.normal."""
+    in full in float64, the noise drawn with rng.normal, then cast to float32."""
     rng = np.random.default_rng(cfg.seed)
     m, w, pw = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
@@ -197,7 +197,7 @@ def full_matrix_amplitudes(cfg):
     clean = baseline[None, :] + event_amplitude * kernel[None, :] * drive[:, None]
     sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
     noise = rng.normal(0.0, cfg.noise_sigma, size=(w, m))
-    return sop[:, None] * clean + noise
+    return (sop[:, None] * clean + noise).astype(np.float32)
 
 
 class TestSynthTraces:
@@ -208,7 +208,7 @@ class TestSynthTraces:
 
     def test_static_fiber_residual_is_zero(self):
         cfg = trace_config(0.2, seed=1, vibration_depth=0.0, noise_sigma=0.0, sop_sigma=0.0)
-        amps = synth_traces(cfg).amplitudes
+        amps = synth_traces(cfg).amplitudes.astype(float)
         residuals = amps - amps.mean(axis=0)
         scale = float(np.max(np.abs(amps)))
         assert float(np.max(np.abs(residuals))) <= 1e-12 * scale
@@ -236,7 +236,10 @@ class TestSynthTraces:
         np.testing.assert_array_equal(traces[high], traces[same])
         kernel = np.clip(1.0 - np.abs(np.arange(cfg.fiber_points) - vp) / pw, 0.0, None)
         expected = cfg.vibration_depth * traces[low][vp] * kernel * (drive[high] - drive[low])
-        np.testing.assert_allclose(diff, expected, rtol=0, atol=1e-12 * np.max(np.abs(traces)))
+        # float32 storage rounds each amplitude by at most eps/2 * max|amplitude|,
+        # so a difference of two by at most eps * max|amplitude|
+        atol = float(np.finfo(np.float32).eps) * np.max(np.abs(traces))
+        np.testing.assert_allclose(diff, expected, rtol=0, atol=atol)
 
     def test_trace_scale_peak_near_event(self):
         from hocdvs import METHOD_HOC
@@ -388,7 +391,8 @@ class TestTraceMatrixInvariants:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="take the magnitude of I/Q data first"):
                 TraceMatrix(iq, 1.0, 1000.0)
-        assert np.array_equal(TraceMatrix(np.abs(iq), 1.0, 1000.0).amplitudes, np.abs(iq))
+        stored = TraceMatrix(np.abs(iq), 1.0, 1000.0).amplitudes
+        assert np.array_equal(stored, np.abs(iq).astype(np.float32))
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError):
@@ -402,13 +406,16 @@ class TestTraceMatrixInvariants:
         with pytest.raises(ValueError):
             TraceMatrix(np.ones((2, 3)), mpp, rate)
 
-    def test_float32_kept_and_other_dtypes_widened(self):
+    def test_every_dtype_is_stored_as_float32(self):
         fresh = np.ones((2, 3), dtype=np.float32)
         fresh.setflags(write=False)
         assert TraceMatrix(fresh, 1.0, 1000.0).amplitudes is fresh
-        for dtype in (np.int32, np.float16):
-            traces = TraceMatrix(np.ones((2, 3), dtype=dtype), 1.0, 1000.0)
-            assert traces.amplitudes.dtype == np.float64
+        for dtype in (np.int32, np.int64, np.float16, np.float64):
+            traces = TraceMatrix(np.arange(6, dtype=dtype).reshape(2, 3), 1.0, 1000.0)
+            assert traces.amplitudes.dtype == np.float32
+            np.testing.assert_array_equal(traces.amplitudes, np.arange(6).reshape(2, 3))
+        with pytest.raises(ValueError):
+            TraceMatrix(np.array([["a", "b"], ["c", "d"]]), 1.0, 1000.0)
 
     def test_produced_matrices_are_read_only(self, tmp_path):
         traces = synth_traces(trace_config(0.2, seed=4, fiber_points=60, vibration_point=30))
@@ -421,31 +428,31 @@ class TestTraceMatrixInvariants:
 
 # The two array-holding dataclasses share one copy-and-freeze rule. Each
 # entry builds an instance from an array and returns the array it stores,
-# with the shape that array needs.
+# with the shape and dtype that array needs.
 FROZEN = {
-    "TraceMatrix": (lambda a: TraceMatrix(a, 1.0, 1000.0).amplitudes, (2, 3)),
-    "HocProfile": (lambda a: HocProfile(a, 1.0).values, (3,)),
+    "TraceMatrix": (lambda a: TraceMatrix(a, 1.0, 1000.0).amplitudes, (2, 3), np.float32),
+    "HocProfile": (lambda a: HocProfile(a, 1.0).values, (3,), np.float64),
 }
 
 
-def increasing(shape):
+def increasing(shape, dtype):
     """1, 2, 3, ... in a fresh array that owns its data."""
-    return np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape).copy()
+    return np.arange(1.0, 1.0 + np.prod(shape), dtype=dtype).reshape(shape).copy()
 
 
 @pytest.mark.parametrize("kind", list(FROZEN))
 class TestFrozenArrays:
     def test_caller_array_is_copied(self, kind):
-        build, shape = FROZEN[kind]
-        caller = increasing(shape)
+        build, shape, dtype = FROZEN[kind]
+        caller = increasing(shape, dtype)
         stored = build(caller)
         caller.flat[0] = 99.0
         assert stored.flat[0] == 1.0
         assert not stored.flags.writeable
 
     def test_read_only_view_is_copied(self, kind):
-        build, shape = FROZEN[kind]
-        base = increasing((shape[0] + 1,) + shape[1:])
+        build, shape, dtype = FROZEN[kind]
+        base = increasing((shape[0] + 1,) + shape[1:], dtype)
         view = base[1:]
         view.setflags(write=False)
         first = float(view.flat[0])
@@ -455,7 +462,7 @@ class TestFrozenArrays:
         assert not stored.flags.writeable
 
     def test_fresh_read_only_array_is_taken_over(self, kind):
-        build, shape = FROZEN[kind]
-        fresh = increasing(shape)
+        build, shape, dtype = FROZEN[kind]
+        fresh = increasing(shape, dtype)
         fresh.setflags(write=False)
         assert build(fresh) is fresh
