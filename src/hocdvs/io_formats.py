@@ -78,7 +78,7 @@ def read_traces(path, digest=None) -> TraceMatrix:
     The header is checked against the file size before the payload is
     allocated, and the payload is read straight into the matrix: one
     record of M float32 per trace, so the W records are the W x M matrix
-    itself. A hashlib object passed as digest is fed every byte of the file.
+    itself. A hashlib digest is fed the header only; the amplitudes are the payload's bytes.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -92,7 +92,6 @@ def read_traces(path, digest=None) -> TraceMatrix:
         raise PersistenceError(f"cannot read traces from {path}: {exc}") from exc
     if digest is not None:
         digest.update(header)
-        digest.update(amplitudes)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     try:
         return TraceMatrix(amplitudes=amplitudes, meters_per_point=mpp, trace_rate_hz=rate)

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -33,6 +34,7 @@ from hocdvs import (
     third_cumulant_zero_lag,
 )
 from hocdvs.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_DETECTION, EXIT_OK, main
+from hocdvs.detect import METHOD_ALIASES
 from hocdvs.errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
 from hocdvs.experiments import (
     DUTY_CYCLES,
@@ -375,6 +377,79 @@ class TestAnalyze:
         report = json.loads((out_dir / "report_hoc.json").read_text())
         assert report["peak_index"] == 100
         assert 1000.0 < report["location_snr_db"] < float("inf")
+
+
+class TestAnalyzeLargePayload:
+    """A payload of at least cli._THREADED_DIGEST_BYTES is hashed on a worker
+    thread while the profile reduces and the CSV is written."""
+
+    @pytest.fixture
+    def large_trace_file(self, tmp_path, config_file):
+        out = tmp_path / "large.hocdvs"
+        cfg = config_file(seed=11, num_traces=300, fiber_points=1000, vibration_point=600)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_size - HEADER_SIZE >= cli._THREADED_DIGEST_BYTES
+        return out
+
+    @staticmethod
+    def analyze(trace_file, out_dir, method="hoc", window="100"):
+        return main(["analyze", "--traces", str(trace_file), "--method", method,
+                     "--window", window, "--out", str(out_dir)])
+
+    def test_window_exceeding_traces_exits_2_and_joins_the_worker(self, tmp_path,
+                                                                  large_trace_file, capsys):
+        threads = threading.active_count()
+        assert self.analyze(large_trace_file, tmp_path / "w", window="301") == EXIT_CONFIG
+        assert threading.active_count() == threads
+        assert "window 301 exceeds" in capsys.readouterr().err
+
+    def test_payload_digest_failure_reaches_the_caller(self, tmp_path, large_trace_file,
+                                                       monkeypatch):
+        feeders, sha256 = [], hashlib.sha256
+
+        class PayloadFails:
+            """sha256 that fails when fed the payload, recording the feeding thread."""
+
+            def __init__(self):
+                self.inner = sha256()
+
+            def update(self, data):
+                if memoryview(data).nbytes >= cli._THREADED_DIGEST_BYTES:
+                    feeders.append(threading.current_thread())
+                    raise RuntimeError("digest failed on the payload")
+                self.inner.update(data)
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", PayloadFails)
+        threads = threading.active_count()
+        out_dir = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="digest failed on the payload"):
+            self.analyze(large_trace_file, out_dir)
+        assert len(feeders) == 1 and feeders[0] is not threading.current_thread()
+        assert threading.active_count() == threads
+        assert not list(out_dir.glob("report_*.json"))
+
+    @pytest.mark.parametrize("method", ["hoc", "mdiff", "mavg"])
+    def test_digest_and_outputs_are_the_same_on_every_repeat(self, tmp_path, large_trace_file,
+                                                             capsys, method):
+        settings = f"|method={METHOD_ALIASES[method]}|window=100|guard=30|avg_len=5"
+        expected = hashlib.sha256(large_trace_file.read_bytes() + settings.encode()).hexdigest()
+        out_dir = tmp_path / "rep"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads often
+        try:
+            runs = set()
+            for _ in range(20):
+                assert self.analyze(large_trace_file, out_dir, method) == EXIT_OK
+                report = (out_dir / f"report_{method}.json").read_bytes()
+                assert json.loads(report)["config_digest"] == expected
+                runs.add((capsys.readouterr().out, report,
+                          (out_dir / f"profile_{method}.csv").read_bytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 1
 
 
 def _fuzz_base() -> bytes:

@@ -1,8 +1,8 @@
-import hashlib
 import json
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,12 +170,21 @@ class TestTraceFile:
             read_traces(path)
 
     def test_payload_is_float32_and_digest_sees_every_byte(self, tmp_path):
+        """read_traces feeds the digest the header as read (provenance byte 1
+        included), and the amplitudes it returns are the payload's bytes, so
+        the caller's digest of the two sees every byte of the file."""
         path = tmp_path / "t.hocdvs"
         write_traces(path, small_matrix([[1.5, -2.0, 3.0], [4.0, 5.0, -6.25]]))
-        digest = hashlib.sha256()
-        out = read_traces(path, digest=digest)
-        assert out.amplitudes.dtype == np.float32
-        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        blob = bytearray(path.read_bytes())
+        for provenance in (0, 1):
+            blob[HEADER_SIZE - 1] = provenance
+            path.write_bytes(bytes(blob))
+            fed = []
+            digest = mock.Mock(update=lambda data: fed.append(bytes(data)))
+            out = read_traces(path, digest=digest)
+            assert out.amplitudes.dtype == np.float32
+            assert fed == [bytes(blob[:HEADER_SIZE])]
+            assert b"".join(fed) + out.amplitudes.tobytes() == bytes(blob)
 
     def test_huge_promise_fails_before_allocation(self, tmp_path):
         path = tmp_path / "t.hocdvs"
