@@ -8,6 +8,7 @@ that is exactly zero, or a location SNR below --min-snr-db), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -25,13 +26,15 @@ EXIT_IO = PersistenceError.exit_code
 
 # float64 bytes per chunk simulate synthesizes, then writes as float32 (at least one row)
 _CHUNK_BYTES = 1 << 20
-# analyze hashes a payload this large on a thread; below it a thread start costs more than it saves
+# analyze hashes a payload this large on a thread given 2+ usable CPUs; below, a thread costs more
 _THREADED_DIGEST_BYTES = 1 << 20
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built on each call, so each subcommand runs the `cmd_*` this module
-    holds at that time (tests and perfbench's spans replace them)."""
+    """Built once per process, as argparse keeps no per-parse state in the parser.
+    It binds no handler: `main` looks up `cmd_<command>` at each call, so a `cmd_*`
+    replaced later (tests and perfbench's spans replace them) still runs."""
     parser = argparse.ArgumentParser(
         prog="hocdvs",
         description="Simulate fiber backscattering traces and localize "
@@ -42,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthesize a trace file from a config")
     p_sim.add_argument("--config", required=True, help="key = value config file")
     p_sim.add_argument("--out", required=True, help="output trace file path")
-    p_sim.set_defaults(run=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="detect and localize an event in a trace file")
     p_ana.add_argument("--traces", required=True, help="input trace file")
@@ -55,14 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="background guard band in points (default %(default)s)")
     p_ana.add_argument("--min-snr-db", type=float, default=None,
                        help="treat detections below this location SNR as none (exit 3)")
-    p_ana.set_defaults(run=cmd_analyze)
 
     p_exp = sub.add_parser("experiment", help="run a named preset")
     p_exp.add_argument("--preset", required=True, choices=experiments.PRESETS)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--seeds", default=None,
                        help="inclusive seed range a..b overriding the preset default")
-    p_exp.set_defaults(run=cmd_experiment)
     return parser
 
 
@@ -108,8 +108,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except BaseException as exc:  # re-raised on the calling thread after the join
             failures.append(exc)
 
-    threaded = traces.amplitudes.nbytes >= _THREADED_DIGEST_BYTES
-    worker = threading.Thread(target=hash_payload)
+    threaded = (traces.amplitudes.nbytes >= _THREADED_DIGEST_BYTES
+                and experiments._usable_cpus() > 1)
+    worker = threading.Thread(target=hash_payload) if threaded else None
     worker.start() if threaded else hash_payload()
     try:
         profile, report = experiments.analyze_traces(traces, method, args.window,
@@ -147,7 +148,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return globals()[f"cmd_{args.command}"](args)
     except HocdvsError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -20,6 +20,7 @@ chunks; a failed write leaves no file.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -123,14 +124,19 @@ def _check_payload_size(payload_size: int, expected: int, source) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _positions(fiber_points: int, meters_per_point) -> tuple[str, ...]:
+    return tuple("%.12g" % (idx * meters_per_point) for idx in range(fiber_points))
+
+
 def export_profile_csv(profile: HocProfile, path) -> None:
-    """Write `position_m,value` rows, one per fiber point, 12 significant digits."""
+    """Write `position_m,value` rows, one per fiber point, 12 significant digits.
+    The position column is memoized for the last geometry, as a monitor repeats it."""
     values = profile.values.tolist()
-    mpp = profile.meters_per_point
-    cells = [0.0] * (2 * len(values))
-    cells[0::2] = [idx * mpp for idx in range(len(values))]
+    cells = [""] * (2 * len(values))
+    cells[0::2] = _positions(len(values), profile.meters_per_point)
     cells[1::2] = values
-    text = "position_m,value\n" + "%.12g,%.12g\n" * len(values) % tuple(cells)
+    text = "position_m,value\n" + "%s,%.12g\n" * len(values) % tuple(cells)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -381,7 +381,12 @@ class TestAnalyze:
 
 class TestAnalyzeLargePayload:
     """A payload of at least cli._THREADED_DIGEST_BYTES is hashed on a worker
-    thread while the profile reduces and the CSV is written."""
+    thread while the profile reduces and the CSV is written, when the process
+    may use two CPUs or more."""
+
+    @pytest.fixture(autouse=True)
+    def two_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
 
     @pytest.fixture
     def large_trace_file(self, tmp_path, config_file):
@@ -450,6 +455,42 @@ class TestAnalyzeLargePayload:
         finally:
             sys.setswitchinterval(interval)
         assert len(runs) == 1
+
+    def test_one_usable_cpu_hashes_inline_with_the_same_outputs(self, tmp_path,
+                                                                large_trace_file, capsys,
+                                                                monkeypatch):
+        def outputs(out_dir):
+            assert self.analyze(large_trace_file, out_dir) == EXIT_OK
+            return [capsys.readouterr().out] + [(out_dir / name).read_bytes()
+                                                for name in ("profile_hoc.csv", "report_hoc.json")]
+
+        two_cpus = outputs(tmp_path / "two")
+        feeders, sha256 = [], hashlib.sha256
+
+        class Recorded:
+            """sha256 that records the thread it is fed the payload on."""
+
+            def __init__(self):
+                self.inner = sha256()
+
+            def update(self, data):
+                if memoryview(data).nbytes >= cli._THREADED_DIGEST_BYTES:
+                    feeders.append(threading.current_thread())
+                self.inner.update(data)
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a digest thread was made on one usable CPU")
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(hashlib, "sha256", Recorded)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        threads = threading.active_count()
+        assert outputs(tmp_path / "one") == two_cpus
+        assert feeders == [threading.current_thread()]
+        assert threading.active_count() == threads
 
 
 def _fuzz_base() -> bytes:
@@ -676,6 +717,34 @@ def test_main_exits_with_the_error_code_and_label(tmp_path, capsys, monkeypatch,
     exit_code, label = EXIT_TABLE[category.__name__]
     assert code == exit_code
     assert capsys.readouterr().err == f"{label}: {message}\n"
+
+
+def test_the_one_parser_runs_the_cmd_the_module_holds_at_each_call(tmp_path, config_file,
+                                                                   monkeypatch):
+    traces = tmp_path / "t.hocdvs"
+    assert main(["simulate", "--config", str(config_file()), "--out", str(traces)]) == EXIT_OK
+    assert cli._build_parser() is cli._build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args.method) or 41)
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args.out) or 42)
+    assert main(["analyze", "--traces", str(traces), "--method", "mavg", "--window", "9",
+                 "--out", str(tmp_path)]) == 41
+    assert main(["simulate", "--config", "c", "--out", "o"]) == 42
+    assert calls == ["mavg", "o"]
+
+
+def test_usage_error_reads_the_same_on_every_call(tmp_path, config_file, capsys):
+    assert main(["simulate", "--config", str(config_file()),
+                 "--out", str(tmp_path / "t.hocdvs")]) == EXIT_OK
+    capsys.readouterr()
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == EXIT_CONFIG
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "the following arguments are required: --traces" in errs[0]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -235,15 +235,25 @@ class TestProfileCsv:
         np.testing.assert_allclose(positions, np.arange(4) * 2.5, rtol=1e-9)
         np.testing.assert_allclose(parsed, values, rtol=1e-9, atol=1e-21)
 
-    @pytest.mark.parametrize("mpp", [1.0, 0.37])
-    def test_rows_match_per_row_rendering(self, tmp_path, mpp):
-        values = np.array([0.1234567891234, -5.5e-4, -0.0, 0.0, 1e-300, -1e-300, 1e115,
-                           -1e115, 3.0, -2.5e-12, 123456789012345.0])
-        prof = HocProfile(values, mpp)
+    # (fiber points, meters per point); neighbours differ, and the float16 products
+    # past 2048 m round where the float ones do not, so a stale column shows
+    GEOMETRIES = [(1500, 1.0), (1500, 0.8), (3, 0.1), (11, 0.37), (7, 7.5e9), (5, 1),
+                  (5, np.float64(1.0)), (3001, 0.5), (3001, np.float16(0.5))]
+
+    @pytest.mark.parametrize("first, second", zip(GEOMETRIES, GEOMETRIES[1:] + GEOMETRIES[:1]),
+                             ids=lambda g: f"{g[0]}x{type(g[1]).__name__}({g[1]})")
+    def test_rows_match_per_row_rendering(self, tmp_path, first, second):
+        """Each export of geometries A, B, A renders every row as it is, whatever
+        position column the one before it left in the memo."""
+        edge_values = np.array([0.1234567891234, -5.5e-4, -0.0, 0.0, 1e-300, -1e-300, 1e115,
+                                -1e115, 3.0, -2.5e-12, 123456789012345.0])
         path = tmp_path / "p.csv"
-        export_profile_csv(prof, path)
-        rows = [f"{idx * mpp:.12g},{value:.12g}" for idx, value in enumerate(prof.values)]
-        assert path.read_bytes() == ("position_m,value\n" + "\n".join(rows) + "\n").encode()
+        for points, mpp in (first, second, first):
+            prof = HocProfile(np.resize(edge_values, points), mpp)
+            export_profile_csv(prof, path)
+            rows = "".join("%.12g,%.12g\n" % (idx * mpp, value)
+                           for idx, value in enumerate(prof.values.tolist()))
+            assert path.read_bytes() == ("position_m,value\n" + rows).encode()
 
     def test_header_line(self, tmp_path):
         prof = HocProfile(np.array([1.0]), 1.0)
