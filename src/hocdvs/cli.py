@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import math
+import queue
 import sys
 import threading
 from pathlib import Path
@@ -26,8 +27,6 @@ EXIT_IO = PersistenceError.exit_code
 
 # float64 bytes per chunk simulate synthesizes, then writes as float32 (at least one row)
 _CHUNK_BYTES = 1 << 20
-# analyze hashes a payload this large on a thread given 2+ usable CPUs; below, a thread costs more
-_THREADED_DIGEST_BYTES = 1 << 20
 
 
 @functools.cache
@@ -94,35 +93,63 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _TraceDigest:
+    """The sha256 that read_traces feeds: the header on the calling thread, then
+    each payload chunk, queued as it lands to one thread when the header promises
+    detect._THREAD_MIN_BYTES or more and two or more CPUs are usable."""
+
+    def __init__(self):
+        self.sha, self.chunks, self.worker, self.failures = hashlib.sha256(), None, None, []
+
+    def update(self, data) -> None:
+        if self.worker is not None:
+            self.chunks.put(data)
+            return
+        self.sha.update(data)
+        if self.chunks is None:  # the header, which read_traces has checked
+            self.chunks = queue.SimpleQueue()
+            (num_traces, fiber_points), _, _ = io_formats._parse_header(data, "header")
+            if (4 * num_traces * fiber_points >= detect._THREAD_MIN_BYTES
+                    and detect._usable_cpus() > 1):
+                worker = threading.Thread(target=self._hash_chunks)
+                worker.start()
+                self.worker = worker
+
+    def _hash_chunks(self) -> None:  # hashlib only: perfbench's tracer keeps one span stack
+        try:
+            while (data := self.chunks.get()) is not None:
+                self.sha.update(data)
+        except BaseException as exc:  # raised on the calling thread after the join
+            self.failures.append(exc)
+
+    def join(self) -> None:
+        """Wait for every queued chunk; later updates hash on the calling thread."""
+        if self.worker is not None:
+            self.chunks.put(None)
+            self.worker.join()
+            self.worker = None
+
+    def hexdigest(self) -> str:
+        if self.failures:
+            raise self.failures[0]
+        return self.sha.hexdigest()
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.min_snr_db is not None and math.isnan(args.min_snr_db):
         raise ConfigError("--min-snr-db must be a number, got nan")
     method = detect.METHOD_ALIASES[args.method]
-    # one sha256: the header (read_traces), the payload (on a thread if large), then the settings
-    digest, failures = hashlib.sha256(), []
-    traces = io_formats.read_traces(args.traces, digest=digest)
-
-    def hash_payload():  # hashlib only, no hocdvs call: perfbench's tracer has one span stack
-        try:
-            digest.update(traces.amplitudes)
-        except BaseException as exc:  # re-raised on the calling thread after the join
-            failures.append(exc)
-
-    threaded = (traces.amplitudes.nbytes >= _THREADED_DIGEST_BYTES
-                and experiments._usable_cpus() > 1)
-    worker = threading.Thread(target=hash_payload) if threaded else None
-    worker.start() if threaded else hash_payload()
+    # one sha256: the header and the payload chunks (read_traces), then the settings
+    digest = _TraceDigest()
     try:
+        traces = io_formats.read_traces(args.traces, digest=digest)
         profile, report = experiments.analyze_traces(traces, method, args.window,
                                                       avg_len=args.avg_len, guard=args.guard)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         io_formats.export_profile_csv(profile, out / f"profile_{args.method}.csv")
     finally:
-        if threaded:
-            worker.join()
-    if failures:
-        raise failures[0]
+        digest.join()
     digest.update(f"|method={method}|window={args.window}|guard={args.guard}"
                   f"|avg_len={args.avg_len}".encode())
     io_formats.write_report_json(out / f"report_{args.method}.json", report,

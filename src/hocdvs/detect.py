@@ -21,12 +21,14 @@ root of the same profile gives 1.000 on noise-free traces.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NoDetectionError, NoEdgeError
-from .stats import mean_cube_axis0
+from .stats import mean_cube_axis0 as _mean_cube_axis0  # private, so a tracer wraps no helper call
 from .synth import TraceMatrix, _finite_positive, _freeze
 
 __all__ = [
@@ -56,6 +58,15 @@ METHOD_ALIASES = {
 # Fiber points per block of every profile: a float64 block of 500 traces
 # is 2 MB, which stays in cache while it is reduced.
 BLOCK_POINTS = 512
+# Bytes worth a thread: analyze's digest thread and _blockwise's helpers start only
+# for this much float32 or more (the trace-scale matrix is 600 KB); below, a thread costs more
+_THREAD_MIN_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +121,47 @@ def _check_window(traces: TraceMatrix, window: int) -> None:
 
 def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
     """Profile of `reduce` over each block of BLOCK_POINTS fiber points of the
-    first `rows` traces, widened into one C-ordered float64 buffer per call
-    that `reduce` may overwrite; no full-size float64 copy is ever made."""
+    first `rows` traces, widened into a C-ordered float64 buffer per thread
+    that `reduce` may overwrite; no full-size float64 copy is ever made.
+
+    When those rows hold _THREAD_MIN_BYTES or more, the calling thread and one
+    helper per further usable CPU take the next block start from one locked
+    iterator. Each block's values depend on its columns only, so the profile
+    is the same whichever thread reduces a block. A failure stops every part
+    and is raised after the helpers are joined.
+    """
     amps, m = traces.amplitudes[:rows], traces.fiber_points
-    buf, values = np.empty(rows * min(m, BLOCK_POINTS)), np.empty(m)
-    for start in range(0, m, BLOCK_POINTS):
-        cols = slice(start, start + BLOCK_POINTS)
-        block = buf[: rows * min(BLOCK_POINTS, m - start)].reshape(rows, -1)
-        block[...] = amps[:, cols]
-        values[cols] = reduce(block)
+    values, failures = np.empty(m), []
+    starts, lock = iter(range(0, m, BLOCK_POINTS)), threading.Lock()
+
+    def part():  # numpy and `reduce` only: perfbench's tracer keeps one span stack
+        try:
+            buf = np.empty(rows * min(m, BLOCK_POINTS))
+            while not failures:  # a failed part stops the others at their next block
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                cols = slice(start, start + BLOCK_POINTS)
+                block = buf[: rows * min(BLOCK_POINTS, m - start)].reshape(rows, -1)
+                block[...] = amps[:, cols]
+                values[cols] = reduce(block)
+        except BaseException as exc:  # raised on the calling thread after the join
+            failures.append(exc)
+
+    blocks = -(-m // BLOCK_POINTS)
+    helpers = min(_usable_cpus(), blocks) - 1 if amps.nbytes >= _THREAD_MIN_BYTES else 0
+    started = []
+    try:
+        for thread in [threading.Thread(target=part) for _ in range(helpers)]:
+            thread.start()
+            started.append(thread)
+        part()
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
     values.setflags(write=False)  # hand the fresh profile over without a copy
     return HocProfile(values, traces.meters_per_point)
 
@@ -130,7 +173,7 @@ def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
 
     def reduce(block: np.ndarray) -> np.ndarray:
         block -= block.mean(axis=0)  # centred in place by column
-        return mean_cube_axis0(block[:window])
+        return _mean_cube_axis0(block[:window])
 
     return _blockwise(traces, traces.num_traces, reduce)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -258,18 +257,12 @@ def _sweep_part(pairs) -> list:
     ]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask where the OS has one)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
-
-
 def localization_sweep(seeds):
     """Detection reports for every (duty, seed) pair at trace scale, in one contiguous
     part per usable CPU: the first on the calling thread, the rest on a pool."""
     from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
     pairs = [(duty, seed) for duty in DUTY_CYCLES for seed in seeds]
-    n = max(1, min(_usable_cpus(), len(pairs)))
+    n = max(1, min(detect._usable_cpus(), len(pairs)))
     parts = [pairs[k * len(pairs) // n : (k + 1) * len(pairs) // n] for k in range(n)]
     with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
         futures = [pool.submit(_sweep_part, part) for part in parts[1:]]

@@ -46,6 +46,8 @@ MAGIC = b"HOCDVS01"
 VERSION = 1
 _HEADER = struct.Struct("<8sIIIddB")
 HEADER_SIZE = _HEADER.size
+# payload bytes read_traces reads per chunk (at least one row)
+_READ_CHUNK_BYTES = 1 << 20
 
 
 def write_traces(path, traces: TraceMatrix) -> None:
@@ -77,22 +79,30 @@ def read_traces(path, digest=None) -> TraceMatrix:
     """Read a trace matrix written by write_traces, keeping its float32 payload.
 
     The header is checked against the file size before the payload is
-    allocated, and the payload is read straight into the matrix: one
-    record of M float32 per trace, so the W records are the W x M matrix
-    itself. A hashlib digest is fed the header only; the amplitudes are the payload's bytes.
+    allocated, and the payload is read in row chunks of about
+    _READ_CHUNK_BYTES straight into the W x M matrix. A hashlib-like digest
+    is fed the header, then each chunk as it lands, in file order, so it
+    sees every byte of the file.
     """
     try:
-        with open(path, "rb", buffering=0) as fh:
+        with open(path, "rb") as fh:
             header = fh.read(HEADER_SIZE)
             (num_traces, fiber_points), mpp, rate = _parse_header(header, path)
             expected = num_traces * fiber_points * 4
             _check_payload_size(os.fstat(fh.fileno()).st_size - HEADER_SIZE, expected, path)
-            amplitudes = np.fromfile(fh, dtype=np.dtype(("<f4", fiber_points)), count=num_traces)
-            _check_payload_size(amplitudes.nbytes + len(fh.read(1)), expected, path)
+            amplitudes = np.empty((num_traces, fiber_points), dtype="<f4")
+            feed = (lambda data: None) if digest is None else digest.update
+            feed(header)
+            step = max(1, _READ_CHUNK_BYTES // (4 * fiber_points))
+            for start in range(0, num_traces, step):
+                chunk = amplitudes[start : start + step]
+                got = fh.readinto(chunk)
+                if got != chunk.nbytes:  # the file shrank since its size was checked
+                    _check_payload_size(start * 4 * fiber_points + got, expected, path)
+                feed(chunk)
+            _check_payload_size(expected + len(fh.read(1)), expected, path)
     except OSError as exc:
         raise PersistenceError(f"cannot read traces from {path}: {exc}") from exc
-    if digest is not None:
-        digest.update(header)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     try:
         return TraceMatrix(amplitudes=amplitudes, meters_per_point=mpp, trace_rate_hz=rate)

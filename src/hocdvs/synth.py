@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import re
 from dataclasses import asdict, dataclass, fields
 
@@ -59,7 +60,8 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+    """Whether value is a finite real scalar > 0 (no 0-d array, which no memo can key)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
 
 
 def _in_float32_range(arr: np.ndarray) -> bool:
@@ -226,7 +228,10 @@ def asymmetrize(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
             f"interval [{lo}, {hi}) exceeds "
             f"the truncation window [-{TRUNCATION_LIMIT}, {TRUNCATION_LIMIT}]"
         )
-    return np.where((x >= lo) & (x < hi), -x, x)
+    # multiplying by +-1 negates exactly, and unlike a masked select it does not
+    # branch on the random mask, so it vectorizes
+    mask = (x >= lo) & (x < hi)
+    return x * (1 - 2 * mask.view(np.int8)).astype(x.dtype)
 
 
 def gen_square_wave(n: int, spec: SquareWaveSpec) -> np.ndarray:

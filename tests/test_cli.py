@@ -22,10 +22,12 @@ from hocdvs import (
     HocProfile,
     asymmetrize,
     cli,
+    detect,
     errors,
     experiments,
     gen_truncated_gaussian,
     hoc_profile,
+    io_formats,
     locate_peak,
     location_snr,
     moving_average_profile,
@@ -380,116 +382,205 @@ class TestAnalyze:
 
 
 class TestAnalyzeLargePayload:
-    """A payload of at least cli._THREADED_DIGEST_BYTES is hashed on a worker
-    thread while the profile reduces and the CSV is written, when the process
-    may use two CPUs or more."""
+    """A payload of at least detect._THREAD_MIN_BYTES is read in row chunks that
+    are hashed on one digest thread as they land, and a profile over rows that
+    large shares its column blocks with one helper per further usable CPU."""
+
+    METHODS = ["hoc", "mdiff", "mavg"]
 
     @pytest.fixture(autouse=True)
     def two_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(detect, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def made_threads(self, monkeypatch):
+        """The name of each thread target made, in order."""
+        made, thread = [], threading.Thread
+
+        def recorded(*args, target=None, **kwargs):
+            made.append(target.__name__)
+            return thread(*args, target=target, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", recorded)
+        return made
 
     @pytest.fixture
     def large_trace_file(self, tmp_path, config_file):
+        """400 x 2100: four read chunks of up to 124 rows, five column blocks."""
         out = tmp_path / "large.hocdvs"
-        cfg = config_file(seed=11, num_traces=300, fiber_points=1000, vibration_point=600)
+        cfg = config_file(seed=11, num_traces=400, fiber_points=2100, vibration_point=1300)
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert out.stat().st_size - HEADER_SIZE >= cli._THREADED_DIGEST_BYTES
+        payload = out.stat().st_size - HEADER_SIZE
+        assert payload > 3 * io_formats._READ_CHUNK_BYTES
+        assert 2100 > 4 * detect.BLOCK_POINTS
+        assert payload // 2 >= detect._THREAD_MIN_BYTES  # window 200 reduces half the rows
         return out
 
     @staticmethod
-    def analyze(trace_file, out_dir, method="hoc", window="100"):
+    def analyze(trace_file, out_dir, method="hoc", window="200"):
         return main(["analyze", "--traces", str(trace_file), "--method", method,
                      "--window", window, "--out", str(out_dir)])
 
+    def outputs(self, trace_file, out_dir, capsys, method="hoc"):
+        assert self.analyze(trace_file, out_dir, method) == EXIT_OK
+        return [capsys.readouterr().out] + [
+            (out_dir / f"{kind}_{method}.{ext}").read_bytes()
+            for kind, ext in (("profile", "csv"), ("report", "json"))
+        ]
+
     def test_window_exceeding_traces_exits_2_and_joins_the_worker(self, tmp_path,
-                                                                  large_trace_file, capsys):
+                                                                  large_trace_file, capsys,
+                                                                  made_threads):
         threads = threading.active_count()
-        assert self.analyze(large_trace_file, tmp_path / "w", window="301") == EXIT_CONFIG
+        assert self.analyze(large_trace_file, tmp_path / "w", window="401") == EXIT_CONFIG
+        assert made_threads == ["_hash_chunks"]
         assert threading.active_count() == threads
-        assert "window 301 exceeds" in capsys.readouterr().err
+        assert "window 401 exceeds" in capsys.readouterr().err
+
+    def test_zero_background_exits_3_and_joins_every_thread(self, tmp_path, capsys,
+                                                            made_threads):
+        amps = np.zeros((400, 2100))
+        amps[:, 1000] = 1.0
+        amps[0, 1000] = 400.0
+        path = tmp_path / "quiet.hocdvs"
+        write_traces(path, TraceMatrix(amps, 1.0, 10000.0))
+        threads = threading.active_count()
+        assert self.analyze(path, tmp_path / "o", window="400") == EXIT_NO_DETECTION
+        assert made_threads == ["_hash_chunks", "part"]
+        assert threading.active_count() == threads
+        assert "background is exactly zero" in capsys.readouterr().err
+
+    def test_short_payload_exits_4_and_leaves_no_thread(self, tmp_path, large_trace_file,
+                                                        capsys):
+        blob = large_trace_file.read_bytes()
+        large_trace_file.write_bytes(blob[:-4])
+        threads = threading.active_count()
+        assert self.analyze(large_trace_file, tmp_path / "o") == EXIT_IO
+        assert threading.active_count() == threads
+        promised = len(blob) - HEADER_SIZE
+        assert f"payload is {promised - 4} bytes, header promises {promised}" in (
+            capsys.readouterr().err)
 
     def test_payload_digest_failure_reaches_the_caller(self, tmp_path, large_trace_file,
                                                        monkeypatch):
         feeders, sha256 = [], hashlib.sha256
 
-        class PayloadFails:
-            """sha256 that fails when fed the payload, recording the feeding thread."""
+        class ChunkFails:
+            """sha256 that fails when fed the second payload chunk, recording the thread."""
 
             def __init__(self):
-                self.inner = sha256()
+                self.inner, self.fed = sha256(), 0
 
             def update(self, data):
-                if memoryview(data).nbytes >= cli._THREADED_DIGEST_BYTES:
+                self.fed += 1
+                if self.fed == 3:  # the header, then the first chunk
                     feeders.append(threading.current_thread())
-                    raise RuntimeError("digest failed on the payload")
+                    raise RuntimeError("digest failed on a payload chunk")
                 self.inner.update(data)
 
             def hexdigest(self):
                 return self.inner.hexdigest()
 
-        monkeypatch.setattr(hashlib, "sha256", PayloadFails)
+        monkeypatch.setattr(hashlib, "sha256", ChunkFails)
         threads = threading.active_count()
         out_dir = tmp_path / "o"
-        with pytest.raises(RuntimeError, match="digest failed on the payload"):
+        with pytest.raises(RuntimeError, match="digest failed on a payload chunk"):
             self.analyze(large_trace_file, out_dir)
         assert len(feeders) == 1 and feeders[0] is not threading.current_thread()
         assert threading.active_count() == threads
         assert not list(out_dir.glob("report_*.json"))
 
-    @pytest.mark.parametrize("method", ["hoc", "mdiff", "mavg"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_helper_part_failure_reaches_the_caller(self, tmp_path, large_trace_file,
+                                                    monkeypatch, method):
+        failed, helper_took_a_block = [], threading.Event()
+        real_blockwise = detect._blockwise
+
+        def blockwise(traces, rows, reduce):
+            def reduce_or_fail(block):
+                if threading.current_thread() is threading.main_thread():
+                    helper_took_a_block.wait(timeout=30)  # so the helper reduces one
+                    return reduce(block)
+                failed.append(threading.current_thread())
+                helper_took_a_block.set()
+                raise RuntimeError("a helper part failed")
+            return real_blockwise(traces, rows, reduce_or_fail)
+
+        monkeypatch.setattr(detect, "_blockwise", blockwise)
+        threads = threading.active_count()
+        out_dir = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="a helper part failed"):
+            self.analyze(large_trace_file, out_dir, method)
+        assert len(failed) == 1
+        assert threading.active_count() == threads
+        assert not list(out_dir.glob("report_*.json"))
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_digest_and_outputs_are_the_same_on_every_repeat(self, tmp_path, large_trace_file,
-                                                             capsys, method):
-        settings = f"|method={METHOD_ALIASES[method]}|window=100|guard=30|avg_len=5"
+                                                             capsys, monkeypatch, made_threads,
+                                                             method):
+        settings = f"|method={METHOD_ALIASES[method]}|window=200|guard=30|avg_len=5"
         expected = hashlib.sha256(large_trace_file.read_bytes() + settings.encode()).hexdigest()
-        out_dir = tmp_path / "rep"
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(detect, "_usable_cpus", lambda: 1)
+            inline = self.outputs(large_trace_file, tmp_path / "one", capsys, method)
+        assert made_threads == []
+        assert json.loads(inline[2])["config_digest"] == expected
+        # three helpers, the digest thread and the caller: more threads than a small host has CPUs
+        monkeypatch.setattr(detect, "_usable_cpus", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads often
         try:
-            runs = set()
             for _ in range(20):
-                assert self.analyze(large_trace_file, out_dir, method) == EXIT_OK
-                report = (out_dir / f"report_{method}.json").read_bytes()
-                assert json.loads(report)["config_digest"] == expected
-                runs.add((capsys.readouterr().out, report,
-                          (out_dir / f"profile_{method}.csv").read_bytes()))
+                assert self.outputs(large_trace_file, tmp_path / "rep", capsys, method) == inline
         finally:
             sys.setswitchinterval(interval)
-        assert len(runs) == 1
+        assert made_threads == ["_hash_chunks", "part", "part", "part"] * 20
 
-    def test_one_usable_cpu_hashes_inline_with_the_same_outputs(self, tmp_path,
-                                                                large_trace_file, capsys,
-                                                                monkeypatch):
-        def outputs(out_dir):
-            assert self.analyze(large_trace_file, out_dir) == EXIT_OK
-            return [capsys.readouterr().out] + [(out_dir / name).read_bytes()
-                                                for name in ("profile_hoc.csv", "report_hoc.json")]
-
-        two_cpus = outputs(tmp_path / "two")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_usable_cpu_makes_no_thread(self, tmp_path, large_trace_file, capsys,
+                                            monkeypatch, method):
+        two_cpus = self.outputs(large_trace_file, tmp_path / "two", capsys, method)
         feeders, sha256 = [], hashlib.sha256
 
         class Recorded:
-            """sha256 that records the thread it is fed the payload on."""
+            """sha256 that records the thread each update runs on."""
 
             def __init__(self):
                 self.inner = sha256()
 
             def update(self, data):
-                if memoryview(data).nbytes >= cli._THREADED_DIGEST_BYTES:
-                    feeders.append(threading.current_thread())
+                feeders.append(threading.current_thread())
                 self.inner.update(data)
 
             def hexdigest(self):
                 return self.inner.hexdigest()
 
         def no_thread(*args, **kwargs):
-            raise AssertionError("a digest thread was made on one usable CPU")
+            raise AssertionError("a thread was made on one usable CPU")
 
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(detect, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(hashlib, "sha256", Recorded)
         monkeypatch.setattr(threading, "Thread", no_thread)
         threads = threading.active_count()
-        assert outputs(tmp_path / "one") == two_cpus
-        assert feeders == [threading.current_thread()]
+        assert self.outputs(large_trace_file, tmp_path / "one", capsys, method) == two_cpus
+        # the header, four payload chunks and the settings
+        assert feeders == [threading.current_thread()] * 6
+        assert threading.active_count() == threads
+
+    def test_trace_scale_file_makes_no_thread(self, tmp_path, config_file, capsys,
+                                              monkeypatch):
+        path = tmp_path / "trace.hocdvs"
+        assert main(["simulate", "--config", str(config_file(seed=3)), "--out", str(path)]) == 0
+        capsys.readouterr()
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was made for a trace-scale file")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        threads = threading.active_count()
+        for method in self.METHODS:
+            assert self.analyze(path, tmp_path / "o", method, window="100") == EXIT_OK
         assert threading.active_count() == threads
 
 

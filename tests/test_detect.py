@@ -602,6 +602,19 @@ def test_profile_requires_finite_values(value):
         profile([1.0, value, 2.0])
 
 
+@pytest.mark.parametrize("mpp", [np.array(1.0), np.array([1.0]), "1.0"],
+                         ids=["0-d array", "1-element array", "str"])
+def test_meters_per_point_must_be_a_real_scalar(mpp):
+    """A spacing that is not a real scalar (a 0-d array cannot key the CSV's
+    position memo) is rejected by each of the three types that hold one."""
+    with pytest.raises(ValueError, match="meters_per_point must be finite and > 0"):
+        HocProfile(np.ones(3), mpp)
+    with pytest.raises(ValueError, match="meters_per_point and trace_rate_hz must be finite"):
+        TraceMatrix(np.ones((2, 3)), mpp, 1.0)
+    with pytest.raises(ConfigError, match="meters_per_point must be finite and > 0"):
+        trace_config(0.2, 0, meters_per_point=mpp)
+
+
 def test_report_rejects_negative_peak_index():
     with pytest.raises(ValueError, match="peak_index must be >= 0"):
         DetectionReport(peak_index=-1, peak_position_m=0.0, location_snr_db=10.0,

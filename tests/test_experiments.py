@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from hocdvs import experiments
+from hocdvs import detect, experiments
 from hocdvs.errors import ConfigError, HocdvsError
 from hocdvs.experiments import (
     ASYMMETRY_INTERVALS,
@@ -146,9 +146,9 @@ def test_localization_sweep_rows():
 
 
 def _set_usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(detect.os, "cpu_count", lambda: cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

@@ -23,6 +23,7 @@ from hocdvs.detect import METHOD_MOVING_DIFFERENTIAL
 from hocdvs.errors import ConfigError, PersistenceError
 from hocdvs.cli import main
 from hocdvs.experiments import trace_config
+from hocdvs import io_formats
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
 from hocdvs.synth import format_sim_config
 
@@ -171,8 +172,8 @@ class TestTraceFile:
 
     def test_payload_is_float32_and_digest_sees_every_byte(self, tmp_path):
         """read_traces feeds the digest the header as read (provenance byte 1
-        included), and the amplitudes it returns are the payload's bytes, so
-        the caller's digest of the two sees every byte of the file."""
+        included), then the payload it returns as the amplitudes, so the
+        caller's digest sees every byte of the file."""
         path = tmp_path / "t.hocdvs"
         write_traces(path, small_matrix([[1.5, -2.0, 3.0], [4.0, 5.0, -6.25]]))
         blob = bytearray(path.read_bytes())
@@ -183,8 +184,38 @@ class TestTraceFile:
             digest = mock.Mock(update=lambda data: fed.append(bytes(data)))
             out = read_traces(path, digest=digest)
             assert out.amplitudes.dtype == np.float32
-            assert fed == [bytes(blob[:HEADER_SIZE])]
-            assert b"".join(fed) + out.amplitudes.tobytes() == bytes(blob)
+            assert fed == [bytes(blob[:HEADER_SIZE]), out.amplitudes.tobytes()]
+            assert b"".join(fed) == bytes(blob)
+
+    @pytest.mark.parametrize("chunk_bytes, rows", [(1, [1] * 10), (84, [3, 3, 3, 1]),
+                                                   (279, [9, 1]), (280, [10])])
+    def test_payload_is_read_and_fed_in_row_chunks(self, tmp_path, monkeypatch, chunk_bytes,
+                                                   rows):
+        """Each chunk holds _READ_CHUNK_BYTES // row bytes rows (at least one) and
+        reaches the digest as it lands, in file order, after the header."""
+        path = tmp_path / "t.hocdvs"
+        amps = np.arange(70, dtype=np.float32).reshape(10, 7) - 30.5
+        write_traces(path, small_matrix(amps))
+        monkeypatch.setattr(io_formats, "_READ_CHUNK_BYTES", chunk_bytes)
+        fed = []
+        out = read_traces(path, digest=mock.Mock(update=lambda data: fed.append(bytes(data))))
+        assert [len(data) // 28 for data in fed[1:]] == rows
+        assert b"".join(fed) == path.read_bytes()
+        np.testing.assert_array_equal(out.amplitudes, amps)
+
+    @pytest.mark.parametrize("cut", [1, 28, 29, 200])
+    def test_payload_that_shrinks_during_the_read_is_io_error(self, tmp_path, monkeypatch, cut):
+        """A file cut after its size was checked fails at the short chunk, which
+        the message counts in bytes read."""
+        path = tmp_path / "t.hocdvs"
+        write_traces(path, small_matrix(np.ones((10, 7))))
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-cut])
+        monkeypatch.setattr(io_formats, "_READ_CHUNK_BYTES", 84)
+        monkeypatch.setattr(io_formats.os, "fstat", lambda fd: mock.Mock(st_size=full))
+        with pytest.raises(PersistenceError, match=f"payload is {280 - cut} bytes, header "
+                                                   "promises 280"):
+            read_traces(path)
 
     def test_huge_promise_fails_before_allocation(self, tmp_path):
         path = tmp_path / "t.hocdvs"
@@ -234,6 +265,14 @@ class TestProfileCsv:
         positions, parsed = read_profile_csv(path)
         np.testing.assert_allclose(positions, np.arange(4) * 2.5, rtol=1e-9)
         np.testing.assert_allclose(parsed, values, rtol=1e-9, atol=1e-21)
+
+    def test_numpy_scalar_spacing_exports_the_bytes_of_a_float(self, tmp_path):
+        values = np.array([0.1234567891234, -5.5e-4, 3.0, 0.0])
+        exported = []
+        for mpp in (1.0, np.float64(1.0)):
+            export_profile_csv(HocProfile(values, mpp), tmp_path / "p.csv")
+            exported.append((tmp_path / "p.csv").read_bytes())
+        assert exported[0] == exported[1]
 
     # (fiber points, meters per point); neighbours differ, and the float16 products
     # past 2048 m round where the float ones do not, so a stale column shows

@@ -22,7 +22,8 @@ from hocdvs import (
     write_traces,
 )
 from hocdvs.errors import ConfigError, HocdvsError
-from hocdvs.experiments import ASYMMETRY_INTERVALS, mix_at_snr1, trace_config
+from hocdvs import experiments
+from hocdvs.experiments import ASYMMETRY_INTERVALS, asymmetry_sweep, mix_at_snr1, trace_config
 from hocdvs.synth import TRUNCATION_LIMIT, _trace_rows
 
 
@@ -63,6 +64,28 @@ class TestAsymmetrize:
     def test_flips_only_interval_samples(self):
         out = asymmetrize(np.array([-2.0, 0.5]), -3.46, -1.28)
         np.testing.assert_array_equal(out, [2.0, 0.5])
+
+    @staticmethod
+    def where_form(x, lo, hi):
+        """The branching form asymmetrize replaced."""
+        return np.where((x >= lo) & (x < hi), -x, x)
+
+    def test_bits_match_the_where_form(self):
+        lo, hi = -1.28, -0.84
+        x = np.array([0.0, -0.0, np.nan, -np.nan, lo, hi, np.nextafter(hi, lo),
+                      np.nextafter(lo, -np.inf), -1.0, 1.0, 3.46, -3.46])
+        out, reference = asymmetrize(x, lo, hi), self.where_form(x, lo, hi)
+        np.testing.assert_array_equal(out.view(np.uint64), reference.view(np.uint64))
+        assert out[4] == -lo and out[5] == hi  # lo flips, hi does not
+        zeros = np.array([0.0, -0.0])
+        np.testing.assert_array_equal(asymmetrize(zeros, -1.0, 1.0).view(np.uint64),
+                                      (-zeros).view(np.uint64))
+
+    def test_asymmetry_sweep_bits_match_the_where_form(self, monkeypatch):
+        fast = asymmetry_sweep(range(50))
+        monkeypatch.setattr(experiments, "asymmetrize", self.where_form)
+        np.testing.assert_array_equal(fast.view(np.uint64),
+                                      asymmetry_sweep(range(50)).view(np.uint64))
 
     def test_interval_outside_window_rejected(self):
         x = np.array([-2.0, 0.5])
