@@ -150,8 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         io_formats.export_profile_csv(profile, out / f"profile_{args.method}.csv")
     finally:
         digest.join()
-    digest.update(f"|method={method}|window={args.window}|guard={args.guard}"
-                  f"|avg_len={args.avg_len}".encode())
+    digest.update(experiments._settings_text(method, args.window, args.guard,
+                                             args.avg_len).encode())
     io_formats.write_report_json(out / f"report_{args.method}.json", report,
                                  window=args.window, config_digest=digest.hexdigest())
     print(

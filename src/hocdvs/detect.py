@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, NoDetectionError, NoEdgeError
 from .stats import mean_cube_axis0 as _mean_cube_axis0  # private, so a tracer wraps no helper call
-from .synth import TraceMatrix, _finite_positive, _freeze
+from .synth import TraceMatrix, _finite_positive, _freeze, _real_array
 
 __all__ = [
     "DetectionReport",
@@ -77,7 +77,7 @@ class HocProfile:
     meters_per_point: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        arr = _real_array(self.values, "values")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"values must be a non-empty vector, got shape {arr.shape}")
         if not (-math.inf < arr.min() and arr.max() < math.inf):  # NaN fails both

@@ -13,6 +13,7 @@ raw rows and scales each noise reference to its mixed row's power itself.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -248,20 +249,38 @@ def analyze_traces(
     )
 
 
+def _settings_text(method: str, window: int, guard: int, avg_len: int) -> str:
+    """The analysis settings a report's config_digest hashes after the trace file."""
+    return f"|method={method}|window={window}|guard={guard}|avg_len={avg_len}"
+
+
+def _report_digest(traces: TraceMatrix) -> str:
+    """The config_digest `analyze --method hoc --window 100` writes for write_traces' file."""
+    sha = hashlib.sha256(io_formats._header_bytes(traces.amplitudes.shape,
+                                                  traces.meters_per_point, traces.trace_rate_hz))
+    sha.update(traces.amplitudes.astype("<f4", copy=False))
+    sha.update(_settings_text(detect.METHOD_HOC, TRACE_WINDOW, TRACE_GUARD, TRACE_AVG_LEN).encode())
+    return sha.hexdigest()
+
+
 def _sweep_part(pairs) -> list:
-    """The (duty, seed, report) rows of some (duty, seed) pairs, hoc at trace scale."""
-    return [
-        (duty, seed, analyze_traces(synth_traces(trace_config(duty, seed)),
-                                    detect.METHOD_HOC, TRACE_WINDOW)[1])
-        for duty, seed in pairs
-    ]
+    """The (duty, seed, report, digest) rows of some (duty, seed, hashed) triples, hoc at
+    trace scale; digest is the matrix's _report_digest if hashed, else None."""
+    rows = []
+    for duty, seed, hashed in pairs:
+        traces = synth_traces(trace_config(duty, seed))
+        report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)[1]
+        rows.append((duty, seed, report, _report_digest(traces) if hashed else None))
+        del traces  # so the next synthesis does not run beside this matrix
+    return rows
 
 
 def localization_sweep(seeds):
-    """Detection reports for every (duty, seed) pair at trace scale, in one contiguous
-    part per usable CPU: the first on the calling thread, the rest on a pool."""
+    """(duty, seed, report, digest) rows for every (duty, seed) pair at trace scale, with a
+    digest at seeds[0] only, whose reports the e2e preset writes; in one contiguous part per
+    usable CPU: the first on the calling thread, the rest on a pool."""
     from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
-    pairs = [(duty, seed) for duty in DUTY_CYCLES for seed in seeds]
+    pairs = [(duty, seed, seed == seeds[0]) for duty in DUTY_CYCLES for seed in seeds]
     n = max(1, min(detect._usable_cpus(), len(pairs)))
     parts = [pairs[k * len(pairs) // n : (k + 1) * len(pairs) // n] for k in range(n)]
     with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
@@ -333,7 +352,7 @@ def _run_e2e(out_dir: Path, seeds) -> list[Path]:
     rows = localization_sweep(seeds)
     lines = ["duty,seed,peak_index,peak_position_m,location_snr_db,spatial_resolution_m"]
     snr_by_duty: dict[float, list[float]] = {duty: [] for duty in DUTY_CYCLES}
-    for duty, seed, report in rows:
+    for duty, seed, report, _ in rows:
         sr = "" if report.spatial_resolution_m is None else _fmt(report.spatial_resolution_m)
         lines.append(
             f"{_fmt(duty)},{seed},{report.peak_index},"
@@ -342,23 +361,17 @@ def _run_e2e(out_dir: Path, seeds) -> list[Path]:
         snr_by_duty[duty].append(report.location_snr_db)
 
     paths = [_write_csv(out_dir, "e2e_localization", lines)]
-    digests = {}
-    first_reports = {duty: report for duty, seed, report in rows if seed == seeds[0]}
-    for duty in DUTY_CYCLES:
-        digests[_fmt(duty)] = config_digest(trace_config(duty, seeds[0]))
-        report_path = out_dir / f"report_duty{int(round(duty * 100))}.json"
-        io_formats.write_report_json(
-            report_path, first_reports[duty], window=TRACE_WINDOW,
-            config_digest=digests[_fmt(duty)],
-        )
-        paths.append(report_path)
+    first = {duty: (report, digest) for duty, seed, report, digest in rows if seed == seeds[0]}
+    for duty, (report, digest) in first.items():
+        paths.append(out_dir / f"report_duty{int(round(duty * 100))}.json")
+        io_formats.write_report_json(paths[-1], report, window=TRACE_WINDOW, config_digest=digest)
 
     mean_snr = {_fmt(duty): float(np.mean(snr_by_duty[duty])) for duty in DUTY_CYCLES}
     ordering = sorted(mean_snr, key=mean_snr.get, reverse=True)
     paths.append(_write_meta(out_dir, "e2e_localization", seeds, {
         "window": TRACE_WINDOW,
         "guard": TRACE_GUARD,
-        "config_digests": digests,
+        "config_digests": {_fmt(d): config_digest(trace_config(d, seeds[0])) for d in DUTY_CYCLES},
         "mean_location_snr_db": mean_snr,
         "location_snr_ordering": ordering,
     }))

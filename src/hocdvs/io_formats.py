@@ -59,7 +59,7 @@ def write_traces(path, traces: TraceMatrix) -> None:
 def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, chunks) -> None:
     """Write a W x M trace file from row chunks. When a chunk or a write fails,
     the file is removed if fstat shows a regular file, so /dev/null stays."""
-    header = _HEADER.pack(MAGIC, VERSION, *shape, meters_per_point, trace_rate_hz, 0)
+    header = _header_bytes(shape, meters_per_point, trace_rate_hz)
     try:
         with open(path, "wb") as fh:
             try:
@@ -73,6 +73,11 @@ def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, chunks) -> No
                 raise
     except OSError as exc:
         raise PersistenceError(f"cannot write traces to {path}: {exc}") from exc
+
+
+def _header_bytes(shape, meters_per_point, trace_rate_hz) -> bytes:
+    """The header of a W x M trace file, as write_trace_rows writes it (provenance 0)."""
+    return _HEADER.pack(MAGIC, VERSION, *shape, meters_per_point, trace_rate_hz, 0)
 
 
 def read_traces(path, digest=None) -> TraceMatrix:

@@ -150,6 +150,15 @@ class SimConfig:
         _check_fiber_extent(self.meters_per_point, self.fiber_points, ConfigError)
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """values as a float32 array if they are one, else as float64. Complex values are refused,
+    as the cast would drop their imaginary part; a non-numeric array raises ValueError in it."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real; take the magnitude of I/Q data first")
+    return arr if arr.dtype == np.float32 else arr.astype(float, copy=False)
+
+
 def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
     """Return arr read-only as dtype, copying it unless it has that dtype, owns its
     data and is already read-only, so no caller can write to the result."""
@@ -176,11 +185,7 @@ class TraceMatrix:
     trace_rate_hz: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes)
-        if np.iscomplexobj(arr):  # astype(float) would drop the imaginary part
-            raise ValueError("amplitudes must be real; take the magnitude of I/Q data first")
-        if arr.dtype != np.float32:
-            arr = arr.astype(float, copy=False)  # a string matrix raises ValueError here
+        arr = _real_array(self.amplitudes, "amplitudes")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"amplitudes must be a W x M matrix, got shape {arr.shape}")
         if not _in_float32_range(arr):

@@ -220,17 +220,17 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("seed", [0, 17])
     def test_report_equals_the_e2e_preset_row_of_its_config(self, tmp_path, config_file, seed):
-        # the e2e preset analyzes synth_traces(cfg) in memory, as simulate writes it
-        for duty, _, row in experiments.localization_sweep([seed]):
+        # the e2e preset analyzes synth_traces(cfg) in memory and digests the file
+        # simulate would write of it, so each per-duty report is the CLI's, byte for byte
+        run_preset("e2e_localization", tmp_path / "e2e", seeds=[seed])
+        for duty in DUTY_CYCLES:
             traces, out_dir = tmp_path / f"{duty}.hocdvs", tmp_path / f"ana{duty}"
             assert main(["simulate", "--config", str(config_file(duty, seed)),
                          "--out", str(traces)]) == EXIT_OK
             assert main(["analyze", "--traces", str(traces), "--method", "hoc",
                          "--window", "100", "--out", str(out_dir)]) == EXIT_OK
-            report = json.loads((out_dir / "report_hoc.json").read_text())
-            for key in ("peak_index", "peak_position_m", "location_snr_db",
-                        "spatial_resolution_m"):
-                assert report[key] == getattr(row, key), (duty, key)
+            preset = tmp_path / "e2e" / f"report_duty{round(duty * 100)}.json"
+            assert preset.read_bytes() == (out_dir / "report_hoc.json").read_bytes(), duty
 
     def test_noise_only_below_threshold_exits_3(self, tmp_path, config_file, capsys):
         out = tmp_path / "noise.hocdvs"

@@ -138,11 +138,13 @@ def test_asymmetry_sweep_base_is_exactly_symmetric():
 
 def test_localization_sweep_rows():
     rows = localization_sweep(seeds=[0, 1])
-    assert [(duty, seed) for duty, seed, _ in rows] == [
+    assert [(duty, seed) for duty, seed, _, _ in rows] == [
         (duty, seed) for duty in DUTY_CYCLES for seed in (0, 1)
     ]
-    for duty, seed, report in rows:
+    for duty, seed, report, digest in rows:
         assert abs(report.peak_index - 1049) <= 10
+        # only the first seed's matrices are hashed, for the per-duty report files
+        assert (digest is not None) == (seed == 0)
 
 
 def _set_usable_cpus(monkeypatch, cpus):
@@ -169,7 +171,11 @@ def test_localization_sweep_does_not_depend_on_the_worker_count(monkeypatch, cpu
         for duty in DUTY_CYCLES
         for seed in range(6)
     ]
-    assert rows == expected
+    assert [row[:3] for row in rows] == expected
+    assert [row[3] for row in rows] == [
+        experiments._report_digest(synth_traces(trace_config(duty, seed))) if seed == 0 else None
+        for duty, seed, _ in expected
+    ]
 
 
 def test_localization_sweep_runs_analyze_traces_once_per_pair(monkeypatch):
@@ -187,7 +193,7 @@ def test_localization_sweep_runs_analyze_traces_once_per_pair(monkeypatch):
     assert {call[:2] for call in calls} == {("hoc", 100)}
     assert all(not kwargs and shape == (100, 1500) for _, _, kwargs, shape, _ in calls)
     # each row's report is the one its own analyze_traces call returned
-    assert sorted(id(call[4]) for call in calls) == sorted(id(report) for _, _, report in rows)
+    assert sorted(id(call[4]) for call in calls) == sorted(id(report) for _, _, report, _ in rows)
 
 
 def test_localization_sweep_failure_in_a_pool_part_reaches_the_caller(monkeypatch):
@@ -247,6 +253,10 @@ def test_e2e_preset_reports(tmp_path):
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert set(meta["mean_location_snr_db"]) == {"0.1", "0.2", "0.3", "0.4"}
     assert len(meta["location_snr_ordering"]) == 4
+    # the config-text digests simulate prints, each report's one link to its config
+    assert meta["config_digests"] == {
+        f"{duty:.9g}": config_digest(trace_config(duty, 0)) for duty in DUTY_CYCLES
+    }
     for duty in (10, 20, 30, 40):
         report = json.loads((tmp_path / f"report_duty{duty}.json").read_text())
         assert report["method"] == "hoc"

@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 from scipy.stats import norm
 
 from hocdvs import (
+    METHOD_HOC,
+    DetectionReport,
     HocProfile,
     SquareWaveSpec,
     TraceMatrix,
@@ -22,7 +25,7 @@ from hocdvs import (
     write_traces,
 )
 from hocdvs.errors import ConfigError, HocdvsError
-from hocdvs import experiments
+from hocdvs import experiments, io_formats
 from hocdvs.experiments import ASYMMETRY_INTERVALS, asymmetry_sweep, mix_at_snr1, trace_config
 from hocdvs.synth import TRUNCATION_LIMIT, _trace_rows
 
@@ -382,6 +385,19 @@ class TestConfigFiles:
             "55423c367f4d772eb81b6f59ffa774de72e12f1aa94a6330ee7e77ad128f3569"
         )
 
+    def test_readme_lists_the_report_keys_and_shows_the_settings_text(self, tmp_path):
+        # reports gain keys over time; the README's key list and example must follow
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"detection reports are JSON objects with keys `([^`]*)`", readme)
+        path = tmp_path / "report.json"
+        report = DetectionReport(1049, 1049.0, 70.0, 4.5, METHOD_HOC)
+        io_formats.write_report_json(path, report, window=100, config_digest="0" * 64)
+        keys = re.split(r",\s+", listed.group(1))
+        assert sorted(keys) == sorted(json.loads(path.read_text()))
+        example = re.search(r"the settings text is\s+`([^`]*)`", readme)
+        assert example.group(1) == experiments._settings_text(
+            METHOD_HOC, 100, experiments.TRACE_GUARD, experiments.TRACE_AVG_LEN)
+
 
 class TestTraceMatrixInvariants:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -489,3 +505,12 @@ class TestFrozenArrays:
         fresh = increasing(shape, dtype)
         fresh.setflags(write=False)
         assert build(fresh) is fresh
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_input_is_refused(self, kind, dtype):
+        # a float cast would drop the imaginary part, with only a ComplexWarning
+        build, shape, _ = FROZEN[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real; take the magnitude of I/Q"):
+                build(np.full(shape, 1 + 2j, dtype=dtype))
