@@ -27,6 +27,7 @@ from .synth import (
     SimConfig,
     SquareWaveSpec,
     TraceMatrix,
+    _draws,
     _sim_config,
     asymmetrize,
     config_digest,
@@ -264,29 +265,35 @@ def _report_digest(traces: TraceMatrix) -> str:
 
 
 def _sweep_part(pairs) -> list:
-    """The (duty, seed, report, digest) rows of some (duty, seed, hashed) triples, hoc at
-    trace scale; digest is the matrix's _report_digest if hashed, else None."""
+    """The (duty, seed, report, digest) rows of some (seed, hashed) pairs at every duty, in
+    (seed, duty) order, hoc at trace scale; each seed's draws are made once for its four
+    duties. digest is the matrix's _report_digest if hashed, else None."""
     rows = []
-    for duty, seed, hashed in pairs:
-        traces = synth_traces(trace_config(duty, seed))
-        report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)[1]
-        rows.append((duty, seed, report, _report_digest(traces) if hashed else None))
-        del traces  # so the next synthesis does not run beside this matrix
+    for seed, hashed in pairs:
+        draws = _draws(trace_config(DUTY_CYCLES[0], seed), TRACE_COUNT)
+        for duty in DUTY_CYCLES:
+            traces = synth_traces(trace_config(duty, seed), draws)
+            report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)[1]
+            rows.append((duty, seed, report, _report_digest(traces) if hashed else None))
+            del traces  # so the next synthesis does not run beside this matrix
     return rows
 
 
 def localization_sweep(seeds):
-    """(duty, seed, report, digest) rows for every (duty, seed) pair at trace scale, with a
-    digest at seeds[0] only, whose reports the e2e preset writes; in one contiguous part per
-    usable CPU: the first on the calling thread, the rest on a pool."""
+    """(duty, seed, report, digest) rows for every (duty, seed) pair at trace scale, in
+    (duty, position in seeds) order, with a digest at seeds[0] only, whose reports the e2e
+    preset writes. The seeds go in one contiguous part per usable CPU, so each part holds
+    whole seeds: the first on the calling thread, the rest on a pool."""
     from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
-    pairs = [(duty, seed, seed == seeds[0]) for duty in DUTY_CYCLES for seed in seeds]
+    pairs = [(seed, seed == seeds[0]) for seed in seeds]
     n = max(1, min(detect._usable_cpus(), len(pairs)))
     parts = [pairs[k * len(pairs) // n : (k + 1) * len(pairs) // n] for k in range(n)]
     with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
         futures = [pool.submit(_sweep_part, part) for part in parts[1:]]
         # the calling thread runs its part before it waits on the pool's
-        return _sweep_part(parts[0]) + [row for future in futures for row in future.result()]
+        rows = _sweep_part(parts[0]) + [row for future in futures for row in future.result()]
+    duties = len(DUTY_CYCLES)
+    return [row for d in range(duties) for row in rows[d::duties]]
 
 
 def _fmt(value: float) -> str:

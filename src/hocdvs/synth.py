@@ -17,10 +17,13 @@ drive sampled on the trace repetition clock. Detector noise is additive
 white Gaussian per sample; polarization drift is a per-trace Gaussian
 factor (1 + eta) multiplying the whole optical amplitude.
 
-Each config is generated on one thread, fully determined by the config,
-seed included; the e2e sweep spreads configs over the usable CPUs. A trace
-matrix also comes in row chunks, equal bit for bit at any chunk size, so
-`hocdvs simulate` can write a file beyond memory.
+Each config is fully determined by the config, seed included. Its random
+draws (phases, polarization factors, normals) depend only on the seed and
+the geometry, so configs that differ in the drive, the depth or the noise
+level share them: the e2e sweep draws each seed once for its four duties,
+and spreads whole seeds over the usable CPUs. A trace matrix also comes in
+row chunks, equal bit for bit at any chunk size, so `hocdvs simulate` can
+write a file beyond memory.
 One amplitude rule holds everywhere: a trace matrix is float32, as a trace
 file is. Synthesis computes in float64 and casts each chunk once, so a
 matrix in memory is bit for bit the matrix that `simulate` writes.
@@ -245,10 +248,11 @@ def gen_square_wave(n: int, spec: SquareWaveSpec) -> np.ndarray:
     return np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
 
 
-def synth_traces(cfg: SimConfig) -> TraceMatrix:
+def synth_traces(cfg: SimConfig, draws=None) -> TraceMatrix:
     """Generate one seeded trace matrix under the amplitude-level model, in one
-    chunk: its peak is the float64 matrix plus its float32 copy."""
-    (amplitudes,) = _trace_rows(cfg, cfg.num_traces)
+    chunk: its peak is the float64 matrix plus its float32 copy. draws, from
+    _draws(c, cfg.num_traces) of a config c that shares cfg's draws, replace cfg's own."""
+    (amplitudes,) = _trace_rows(cfg, cfg.num_traces, draws)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=amplitudes,
@@ -257,18 +261,31 @@ def synth_traces(cfg: SimConfig) -> TraceMatrix:
     )
 
 
-def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
-    """Yield the trace matrix in fresh float32 chunks of rows_per_chunk traces (the last
-    may be shorter), drawing phases, polarization factors, then noise chunk by chunk.
-    Each chunk is computed in float64, checked against the float32 range, then cast."""
+def _draws(cfg: SimConfig, rows: int | None = None):
+    """cfg's random draws, in their one order: the phases (as the speckle baseline), the
+    polarization factors, then the noise. Returns (baseline, sop, rng) with rng at the noise,
+    or with rows given (baseline, sop, normals), the first rows x fiber_points of it unscaled.
+    They depend only on the seed, fiber_points, num_traces, pulse_width_points and sop_sigma,
+    so configs that differ elsewhere share them. Each config scales the shared normals by its
+    own noise_sigma into a fresh chunk, never in place, and range-checks its own result, so
+    an overflow is the ConfigError of that config alone, in whichever sweep part it runs."""
     rng = np.random.default_rng(cfg.seed)
-    m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
-
+    m, pw = cfg.fiber_points, cfg.pulse_width_points
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
     csum = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(1j * phases))])
     stop = np.minimum(np.arange(m) + min(pw, m), m)
     baseline = np.abs(csum[stop] - csum[np.arange(m)])
-    sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=w)
+    sop = 1.0 + rng.normal(0.0, cfg.sop_sigma, size=cfg.num_traces)
+    return baseline, sop, (rng if rows is None else rng.standard_normal((rows, m)))
+
+
+def _trace_rows(cfg: SimConfig, rows_per_chunk: int, draws=None):
+    """Yield the trace matrix in fresh float32 chunks of rows_per_chunk traces (the last
+    may be shorter), from draws, or without them from _draws(cfg) with the noise drawn
+    chunk by chunk. Each chunk is computed in float64, checked against the float32 range,
+    then cast."""
+    baseline, sop, noise = _draws(cfg) if draws is None else draws
+    m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
     # the kernel is exactly 0 outside |m - p| < pw, where clean == baseline
     lo, hi = max(p - pw + 1, 0), min(p + pw, m)
     kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
@@ -280,9 +297,12 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int):
     clean_rows = max(1, (1 << 15) // m)
     for start in range(0, w, rows_per_chunk):
         n = min(rows_per_chunk, w - start)
-        chunk = rng.standard_normal((n, m))
         with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
-            chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
+            if draws is None:
+                chunk = noise.standard_normal((n, m))
+                chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
+            else:  # a fresh product, so the shared normals stay unscaled
+                chunk = noise[start : start + n] * cfg.noise_sigma
             for first in range(0, n, clean_rows):
                 rows = slice(start + first, start + min(first + clean_rows, n))
                 clean = sop[rows, None] * baseline

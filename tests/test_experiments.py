@@ -165,7 +165,8 @@ def test_localization_sweep_does_not_depend_on_the_worker_count(monkeypatch, cpu
 
     monkeypatch.setattr(experiments, "_sweep_part", counted)
     rows = localization_sweep(seeds=range(6))
-    assert sorted(part_sizes) == [24 // cpus] * cpus
+    # each part holds whole seeds, one (seed, hashed) pair each, drawn once for all duties
+    assert sorted(part_sizes) == [6 // cpus] * cpus
     expected = [
         (duty, seed, analyze_traces(synth_traces(trace_config(duty, seed)), "hoc", 100)[1])
         for duty in DUTY_CYCLES
@@ -175,6 +176,24 @@ def test_localization_sweep_does_not_depend_on_the_worker_count(monkeypatch, cpu
     assert [row[3] for row in rows] == [
         experiments._report_digest(synth_traces(trace_config(duty, seed))) if seed == 0 else None
         for duty, seed, _ in expected
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_localization_sweep_rows_follow_the_given_seed_order(monkeypatch, cpus):
+    # parts return their rows seed by seed; the sweep puts them in (duty, given seed)
+    # order, which a sort by seed value would break, and hashes the first given seed only
+    _set_usable_cpus(monkeypatch, cpus)
+    seeds = [3, 0, 2]
+    rows = localization_sweep(seeds=seeds)
+    pairs = [(duty, seed) for duty in DUTY_CYCLES for seed in seeds]
+    matrices = {pair: synth_traces(trace_config(*pair)) for pair in pairs}
+    assert [row[:3] for row in rows] == [
+        (duty, seed, analyze_traces(matrices[duty, seed], "hoc", 100)[1]) for duty, seed in pairs
+    ]
+    assert [row[3] for row in rows] == [
+        experiments._report_digest(matrices[duty, seed]) if seed == 3 else None
+        for duty, seed in pairs
     ]
 
 

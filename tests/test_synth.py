@@ -26,8 +26,15 @@ from hocdvs import (
 )
 from hocdvs.errors import ConfigError, HocdvsError
 from hocdvs import experiments, io_formats
-from hocdvs.experiments import ASYMMETRY_INTERVALS, asymmetry_sweep, mix_at_snr1, trace_config
-from hocdvs.synth import TRUNCATION_LIMIT, _trace_rows
+from hocdvs.experiments import (
+    ASYMMETRY_INTERVALS,
+    DUTY_CYCLES,
+    TRACE_COUNT,
+    asymmetry_sweep,
+    mix_at_snr1,
+    trace_config,
+)
+from hocdvs.synth import TRUNCATION_LIMIT, _draws, _trace_rows
 
 
 class TestTruncatedGaussian:
@@ -302,6 +309,18 @@ class TestSynthTraces:
         cfg = trace_config(0.3, seed=9)
         expected = full_matrix_amplitudes(cfg).tobytes()
         assert np.concatenate(list(_trace_rows(cfg, rows_per_chunk))).tobytes() == expected
+
+    @pytest.mark.parametrize("seed", [0, 13, 50])
+    def test_shared_draws_give_each_duty_the_matrix_it_draws_itself(self, seed):
+        # the e2e sweep draws a seed once, at the first duty, for all four duties
+        draws = _draws(trace_config(DUTY_CYCLES[0], seed), TRACE_COUNT)
+        for duty in DUTY_CYCLES:
+            cfg = trace_config(duty, seed)
+            expected = synth_traces(cfg).amplitudes.tobytes()
+            assert synth_traces(cfg, draws).amplitudes.tobytes() == expected, duty
+            for rows_per_chunk in (1, 7, 100):
+                chunks = _trace_rows(cfg, rows_per_chunk, draws)
+                assert np.concatenate(list(chunks)).tobytes() == expected, (duty, rows_per_chunk)
 
     def test_float32_overflow_is_a_config_error(self):
         cfg = trace_config(0.3, seed=9, fiber_points=60, vibration_point=30,
