@@ -119,10 +119,15 @@ def _check_window(traces: TraceMatrix, window: int) -> None:
         raise ConfigError(f"window {window} exceeds {traces.num_traces} traces")
 
 
-def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
+def _blockwise(traces: TraceMatrix, rows: int, reduce, like=None) -> HocProfile:
     """Profile of `reduce` over each block of BLOCK_POINTS fiber points of the
     first `rows` traces, widened into a C-ordered float64 buffer per thread
     that `reduce` may overwrite; no full-size float64 copy is ever made.
+
+    like=(profile, cols), with profile made the same way from a matrix that
+    equals these traces outside the columns cols, reduces only the blocks
+    that meet cols and takes every other value from profile. The blocks lie
+    on the same grid, so the result is the full profile bit for bit.
 
     When those rows hold _THREAD_MIN_BYTES or more, the calling thread and one
     helper per further usable CPU take the next block start from one locked
@@ -131,8 +136,15 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
     and is raised after the helpers are joined.
     """
     amps, m = traces.amplitudes[:rows], traces.fiber_points
-    values, failures = np.empty(m), []
-    starts, lock = iter(range(0, m, BLOCK_POINTS)), threading.Lock()
+    values, failures, block_starts = np.empty(m), [], range(0, m, BLOCK_POINTS)
+    if like is not None:
+        profile, changed = like
+        if profile.fiber_points != m or not 0 <= changed.start < changed.stop <= m:
+            raise ValueError(f"like needs a profile of {m} points and columns within it")
+        values[:] = profile.values
+        first = changed.start - changed.start % BLOCK_POINTS
+        block_starts = range(first, changed.stop, BLOCK_POINTS)
+    starts, lock = iter(block_starts), threading.Lock()
 
     def part():  # numpy and `reduce` only: perfbench's tracer keeps one span stack
         try:
@@ -149,7 +161,7 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
         except BaseException as exc:  # raised on the calling thread after the join
             failures.append(exc)
 
-    blocks = -(-m // BLOCK_POINTS)
+    blocks = len(block_starts)
     helpers = min(_usable_cpus(), blocks) - 1 if amps.nbytes >= _THREAD_MIN_BYTES else 0
     started = []
     try:
@@ -166,7 +178,7 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
     return HocProfile(values, traces.meters_per_point)
 
 
-def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
+def hoc_profile(traces: TraceMatrix, window: int, *, like=None) -> HocProfile:
     """Zero-lag third cumulant of the first `window` residuals about each point's
     mean over all traces; a static offset per point leaves the profile unchanged."""
     _check_window(traces, window)
@@ -175,15 +187,17 @@ def hoc_profile(traces: TraceMatrix, window: int) -> HocProfile:
         block -= block.mean(axis=0)  # centred in place by column
         return _mean_cube_axis0(block[:window])
 
-    return _blockwise(traces, traces.num_traces, reduce)
+    return _blockwise(traces, traces.num_traces, reduce, like)
 
 
-def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:
+def moving_differential_profile(traces: TraceMatrix, window: int, *, like=None) -> HocProfile:
     """Mean absolute difference of consecutive traces per point (avg_len = 1)."""
-    return moving_average_profile(traces, window, 1)
+    return moving_average_profile(traces, window, 1, like=like)
 
 
-def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> HocProfile:
+def moving_average_profile(
+    traces: TraceMatrix, window: int, avg_len: int, *, like=None
+) -> HocProfile:
     """Block-average avg_len consecutive traces, then difference the blocks."""
     _check_window(traces, window)
     if not 1 <= avg_len <= window:
@@ -198,7 +212,7 @@ def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> Ho
         diffs = np.diff(block, axis=0)
         return np.abs(diffs, out=diffs).mean(axis=0)
 
-    return _blockwise(traces, blocks * avg_len, reduce)
+    return _blockwise(traces, blocks * avg_len, reduce, like)
 
 
 def locate_peak(profile: HocProfile) -> tuple[int, float]:

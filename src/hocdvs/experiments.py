@@ -27,6 +27,7 @@ from .synth import (
     SimConfig,
     SquareWaveSpec,
     TraceMatrix,
+    _changed_columns,
     _draws,
     _sim_config,
     asymmetrize,
@@ -225,14 +226,17 @@ def analyze_traces(
     *,
     avg_len: int = TRACE_AVG_LEN,
     guard: int = TRACE_GUARD,
+    like=None,
 ) -> tuple[detect.HocProfile, detect.DetectionReport]:
-    """Run one method end to end: profile, peak, location SNR, 10-90% resolution or None."""
+    """Run one method end to end: profile, peak, location SNR, 10-90% resolution or None.
+    like goes to the method's profile function, which is called without it when it is None."""
+    extra = {} if like is None else {"like": like}
     if method == detect.METHOD_HOC:
-        profile = detect.hoc_profile(traces, window)
+        profile = detect.hoc_profile(traces, window, **extra)
     elif method == detect.METHOD_MOVING_DIFFERENTIAL:
-        profile = detect.moving_differential_profile(traces, window)
+        profile = detect.moving_differential_profile(traces, window, **extra)
     elif method == detect.METHOD_MOVING_AVERAGE:
-        profile = detect.moving_average_profile(traces, window, avg_len)
+        profile = detect.moving_average_profile(traces, window, avg_len, **extra)
     else:
         raise ValueError(f"unknown method {method!r}")
     peak_index, position_m = detect.locate_peak(profile)
@@ -266,14 +270,23 @@ def _report_digest(traces: TraceMatrix) -> str:
 
 def _sweep_part(pairs) -> list:
     """The (duty, seed, report, digest) rows of some (seed, hashed) pairs at every duty, in
-    (seed, duty) order, hoc at trace scale; each seed's draws are made once for its four
-    duties. digest is the matrix's _report_digest if hashed, else None."""
+    (seed, duty) order, hoc at trace scale. Each seed's draws are made once for its four
+    duties, and its first duty's matrix and profile are made in full: a later duty copies
+    them and recomputes only what its event span reaches. digest is the matrix's
+    _report_digest if hashed, else None."""
     rows = []
     for seed, hashed in pairs:
-        draws = _draws(trace_config(DUTY_CYCLES[0], seed), TRACE_COUNT)
         for duty in DUTY_CYCLES:
-            traces = synth_traces(trace_config(duty, seed), draws)
-            report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)[1]
+            cfg = trace_config(duty, seed)
+            if duty == DUTY_CYCLES[0]:
+                first_cfg, draws = cfg, _draws(cfg, TRACE_COUNT)
+                traces = first = synth_traces(cfg, draws)
+                profile, report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)
+            else:
+                cols = _changed_columns(cfg, first_cfg)
+                traces = synth_traces(cfg, draws, like=(first, cols))
+                report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW,
+                                        like=(profile, cols))[1]
             rows.append((duty, seed, report, _report_digest(traces) if hashed else None))
             del traces  # so the next synthesis does not run beside this matrix
     return rows

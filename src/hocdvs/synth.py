@@ -21,9 +21,11 @@ Each config is fully determined by the config, seed included. Its random
 draws (phases, polarization factors, normals) depend only on the seed and
 the geometry, so configs that differ in the drive, the depth or the noise
 level share them: the e2e sweep draws each seed once for its four duties,
-and spreads whole seeds over the usable CPUs. A trace matrix also comes in
-row chunks, equal bit for bit at any chunk size, so `hocdvs simulate` can
-write a file beyond memory.
+and spreads whole seeds over the usable CPUs. Configs that differ only in
+the drive and the depth share every column outside the event span as well,
+so the sweep synthesizes a seed's later duties in that span alone. A trace
+matrix also comes in row chunks, equal bit for bit at any chunk size, so
+`hocdvs simulate` can write a file beyond memory.
 One amplitude rule holds everywhere: a trace matrix is float32, as a trace
 file is. Synthesis computes in float64 and casts each chunk once, so a
 matrix in memory is bit for bit the matrix that `simulate` writes.
@@ -35,7 +37,7 @@ import hashlib
 import math
 import numbers
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -248,11 +250,20 @@ def gen_square_wave(n: int, spec: SquareWaveSpec) -> np.ndarray:
     return np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
 
 
-def synth_traces(cfg: SimConfig, draws=None) -> TraceMatrix:
+def synth_traces(cfg: SimConfig, draws=None, like=None) -> TraceMatrix:
     """Generate one seeded trace matrix under the amplitude-level model, in one
     chunk: its peak is the float64 matrix plus its float32 copy. draws, from
-    _draws(c, cfg.num_traces) of a config c that shares cfg's draws, replace cfg's own."""
-    (amplitudes,) = _trace_rows(cfg, cfg.num_traces, draws)
+    _draws(c, cfg.num_traces) of a config c that shares cfg's draws, replace cfg's own.
+    like=(traces, cols), with traces the matrix of such a config c and cols =
+    _changed_columns(cfg, c), gives a copy of traces with only cols synthesized."""
+    if like is None:
+        (amplitudes,) = _trace_rows(cfg, cfg.num_traces, draws)
+    else:
+        base, cols = like
+        if base.amplitudes.shape != (cfg.num_traces, cfg.fiber_points):
+            raise ValueError(f"like's matrix has shape {base.amplitudes.shape}, not cfg's")
+        amplitudes = base.amplitudes.copy()
+        (amplitudes[:, cols],) = _trace_rows(cfg, cfg.num_traces, draws, cols)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=amplitudes,
@@ -279,30 +290,47 @@ def _draws(cfg: SimConfig, rows: int | None = None):
     return baseline, sop, (rng if rows is None else rng.standard_normal((rows, m)))
 
 
-def _trace_rows(cfg: SimConfig, rows_per_chunk: int, draws=None):
-    """Yield the trace matrix in fresh float32 chunks of rows_per_chunk traces (the last
-    may be shorter), from draws, or without them from _draws(cfg) with the noise drawn
-    chunk by chunk. Each chunk is computed in float64, checked against the float32 range,
-    then cast."""
+def _event_span(cfg: SimConfig) -> tuple[int, int]:
+    """The columns [lo, hi) the event reaches: the kernel is exactly 0 outside |m - p| < pw."""
+    p, pw = cfg.vibration_point, cfg.pulse_width_points
+    return max(p - pw + 1, 0), min(p + pw, cfg.fiber_points)
+
+
+def _changed_columns(cfg: SimConfig, other: SimConfig) -> slice:
+    """The columns where the matrices of cfg and other, made from the same draws, can differ:
+    cfg's event span when the two differ only in the drive and the depth, else every column."""
+    if replace(other, vibration=cfg.vibration, vibration_depth=cfg.vibration_depth) == cfg:
+        return slice(*_event_span(cfg))
+    return slice(0, cfg.fiber_points)
+
+
+def _trace_rows(cfg: SimConfig, rows_per_chunk: int, draws=None, cols=None):
+    """Yield the trace matrix, or its columns cols (a slice that holds the event span), in
+    fresh float32 chunks of rows_per_chunk traces (the last may be shorter), from draws, or
+    without them from _draws(cfg) with the noise drawn chunk by chunk. Each chunk is computed
+    in float64, checked against the float32 range, then cast."""
     baseline, sop, noise = _draws(cfg) if draws is None else draws
     m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
-    # the kernel is exactly 0 outside |m - p| < pw, where clean == baseline
-    lo, hi = max(p - pw + 1, 0), min(p + pw, m)
+    cols = slice(0, m) if cols is None else cols
+    lo, hi = _event_span(cfg)
+    if not (cols.step is None and 0 <= cols.start <= lo and hi <= cols.stop <= m):
+        raise ValueError(f"columns {cols} do not hold the event span [{lo}, {hi}) of {m}")
     kernel = 1.0 - np.abs(np.arange(lo, hi) - p) / pw
     drive = gen_square_wave(w, cfg.vibration)
     event_amplitude = cfg.vibration_depth * baseline[p]
+    baseline, lo, hi = baseline[cols], lo - cols.start, hi - cols.start
     # Clean rows are added 256 KB at a time. One clean array per chunk (1.2 MB at trace
     # scale) was bit-identical but page-faulted afresh: 110,800 minor faults per 200
     # trace-scale matrices against 0, and 4.4-5.1 against 3.5-4.1 ms each, on one CPU.
-    clean_rows = max(1, (1 << 15) // m)
+    clean_rows = max(1, (1 << 15) // baseline.size)
     for start in range(0, w, rows_per_chunk):
         n = min(rows_per_chunk, w - start)
         with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
             if draws is None:
-                chunk = noise.standard_normal((n, m))
+                chunk = noise.standard_normal((n, m))[:, cols]
                 chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
             else:  # a fresh product, so the shared normals stay unscaled
-                chunk = noise[start : start + n] * cfg.noise_sigma
+                chunk = noise[start : start + n, cols] * cfg.noise_sigma
             for first in range(0, n, clean_rows):
                 rows = slice(start + first, start + min(first + clean_rows, n))
                 clean = sop[rows, None] * baseline

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from hocdvs import detect, experiments
+from hocdvs import detect, experiments, synth
 from hocdvs.errors import ConfigError, HocdvsError
 from hocdvs.experiments import (
     ASYMMETRY_INTERVALS,
@@ -203,16 +203,46 @@ def test_localization_sweep_runs_analyze_traces_once_per_pair(monkeypatch):
 
     def counted(traces, method, window, **kwargs):
         result = analyze(traces, method, window, **kwargs)
-        calls.append((method, window, kwargs, traces.amplitudes.shape, result[1]))
+        calls.append((method, window, kwargs, traces.amplitudes.shape, result[1], result[0]))
         return result
 
     monkeypatch.setattr(experiments, "analyze_traces", counted)
     rows = localization_sweep(seeds=range(3))
     assert len(calls) == 12 == len(DUTY_CYCLES) * 3
     assert {call[:2] for call in calls} == {("hoc", 100)}
-    assert all(not kwargs and shape == (100, 1500) for _, _, kwargs, shape, _ in calls)
+    assert all(shape == (100, 1500) for _, _, _, shape, _, _ in calls)
     # each row's report is the one its own analyze_traces call returned
     assert sorted(id(call[4]) for call in calls) == sorted(id(report) for _, _, report, _ in rows)
+    # a seed's later duties patch its first duty's profile in their event span
+    call_of = {id(call[4]): call for call in calls}
+    first_profile = {seed: call_of[id(report)][5]
+                     for duty, seed, report, _ in rows if duty == DUTY_CYCLES[0]}
+    for duty, seed, report, _ in rows:
+        expected = {} if duty == DUTY_CYCLES[0] else {"like": (first_profile[seed],
+                                                                slice(1040, 1059))}
+        assert call_of[id(report)][2] == expected, (duty, seed)
+
+
+def test_localization_sweep_synthesizes_and_reduces_later_duties_in_their_span(monkeypatch):
+    # no output shows a sweep that falls back to full work; these counts do
+    reductions, checked_columns = [], []
+    mean_cube, in_range = detect._mean_cube_axis0, synth._in_float32_range
+
+    def reduced(block):
+        reductions.append(block.shape)
+        return mean_cube(block)
+
+    def checked(arr):
+        if arr.dtype == np.float64:  # synthesis checks float64 chunks, TraceMatrix float32
+            checked_columns.append(arr.shape[1])
+        return in_range(arr)
+
+    monkeypatch.setattr(detect, "_mean_cube_axis0", reduced)
+    monkeypatch.setattr(synth, "_in_float32_range", checked)
+    localization_sweep(seeds=range(2))
+    # a seed's first duty reduces three blocks of its 1500 points, each later duty one
+    assert len(reductions) == 2 * (3 + 3 * 1)
+    assert sum(checked_columns) == 2 * (1500 + 3 * 19)
 
 
 def test_localization_sweep_failure_in_a_pool_part_reaches_the_caller(monkeypatch):

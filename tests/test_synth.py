@@ -34,7 +34,7 @@ from hocdvs.experiments import (
     mix_at_snr1,
     trace_config,
 )
-from hocdvs.synth import TRUNCATION_LIMIT, _draws, _trace_rows
+from hocdvs.synth import TRUNCATION_LIMIT, _changed_columns, _draws, _trace_rows
 
 
 class TestTruncatedGaussian:
@@ -321,6 +321,53 @@ class TestSynthTraces:
             for rows_per_chunk in (1, 7, 100):
                 chunks = _trace_rows(cfg, rows_per_chunk, draws)
                 assert np.concatenate(list(chunks)).tobytes() == expected, (duty, rows_per_chunk)
+
+    @pytest.mark.parametrize("first_cfg, cfg, span", [
+        *[pytest.param(trace_config(DUTY_CYCLES[0], seed), trace_config(duty, seed), (1040, 1059),
+                       id=f"seed{seed}-duty{duty}") for seed in (0, 13, 50) for duty in DUTY_CYCLES],
+        *[pytest.param(trace_config(0.2, 7), trace_config(0.2, 7, vibration_depth=depth),
+                       (1040, 1059), id=f"depth{depth}") for depth in (0.0, 1.0)],
+        *[pytest.param(trace_config(0.1, 7, vibration_point=point),
+                       trace_config(0.4, 7, vibration_point=point), span, id=f"point{point}")
+          for point, span in ((0, (0, 10)), (1499, (1490, 1500)))],
+    ])
+    def test_a_copy_with_its_event_span_synthesized_is_the_matrix_itself(self, first_cfg, cfg,
+                                                                          span):
+        # the e2e sweep copies a seed's first matrix and synthesizes only a later duty's span
+        cols = _changed_columns(cfg, first_cfg)
+        assert cols == slice(*span)
+        draws = _draws(first_cfg, TRACE_COUNT)
+        like = (synth_traces(first_cfg, draws), cols)
+        expected = synth_traces(cfg).amplitudes.tobytes()
+        assert synth_traces(cfg, draws, like=like).amplitudes.tobytes() == expected
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", 0.03), ("sop_sigma", 0.01), ("pulse_width_points", 11),
+        ("vibration_point", 1048),
+    ])
+    def test_other_differences_change_every_column(self, key, value):
+        cfg = trace_config(0.3, 5, **{key: value})
+        assert _changed_columns(cfg, trace_config(0.1, 5)) == slice(0, 1500)
+
+    @pytest.mark.parametrize("like_cfg, cols, message", [
+        (trace_config(0.1, 5), slice(1041, 1059), "do not hold the event span"),
+        (trace_config(0.1, 5), slice(1040, 1501), "do not hold the event span"),
+        (trace_config(0.1, 5, num_traces=99), slice(1040, 1059), "has shape"),
+    ], ids=["short-of-the-span", "beyond-the-fiber", "another-shape"])
+    def test_like_must_hold_the_event_span_of_a_matrix_of_its_shape(self, like_cfg, cols,
+                                                                     message):
+        with pytest.raises(ValueError, match=message):
+            synth_traces(trace_config(0.3, 5), like=(synth_traces(like_cfg), cols))
+
+    def test_overflow_in_the_event_span_is_the_config_error(self):
+        first_cfg = trace_config(0.1, 9)
+        cfg = trace_config(0.3, 9, **{"vibration.amplitude": 1.0e300})
+        draws = _draws(first_cfg, TRACE_COUNT)
+        like = (synth_traces(first_cfg, draws), _changed_columns(cfg, first_cfg))
+        with pytest.raises(ConfigError) as exc:
+            synth_traces(cfg, draws, like=like)
+        assert exc.type is ConfigError
+        assert str(exc.value) == "config drives amplitudes beyond the float32 range of trace files"
 
     def test_float32_overflow_is_a_config_error(self):
         cfg = trace_config(0.3, seed=9, fiber_points=60, vibration_point=30,
