@@ -190,14 +190,12 @@ def hoc_profile(traces: TraceMatrix, window: int, *, like=None) -> HocProfile:
     return _blockwise(traces, traces.num_traces, reduce, like)
 
 
-def moving_differential_profile(traces: TraceMatrix, window: int, *, like=None) -> HocProfile:
+def moving_differential_profile(traces: TraceMatrix, window: int) -> HocProfile:
     """Mean absolute difference of consecutive traces per point (avg_len = 1)."""
-    return moving_average_profile(traces, window, 1, like=like)
+    return moving_average_profile(traces, window, 1)
 
 
-def moving_average_profile(
-    traces: TraceMatrix, window: int, avg_len: int, *, like=None
-) -> HocProfile:
+def moving_average_profile(traces: TraceMatrix, window: int, avg_len: int) -> HocProfile:
     """Block-average avg_len consecutive traces, then difference the blocks."""
     _check_window(traces, window)
     if not 1 <= avg_len <= window:
@@ -212,7 +210,7 @@ def moving_average_profile(
         diffs = np.diff(block, axis=0)
         return np.abs(diffs, out=diffs).mean(axis=0)
 
-    return _blockwise(traces, blocks * avg_len, reduce, like)
+    return _blockwise(traces, blocks * avg_len, reduce)
 
 
 def locate_peak(profile: HocProfile) -> tuple[int, float]:

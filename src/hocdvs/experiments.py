@@ -229,14 +229,14 @@ def analyze_traces(
     like=None,
 ) -> tuple[detect.HocProfile, detect.DetectionReport]:
     """Run one method end to end: profile, peak, location SNR, 10-90% resolution or None.
-    like goes to the method's profile function, which is called without it when it is None."""
-    extra = {} if like is None else {"like": like}
+    like goes to hoc_profile, which is called without it when it is None; the other methods
+    make their full profile."""
     if method == detect.METHOD_HOC:
-        profile = detect.hoc_profile(traces, window, **extra)
+        profile = detect.hoc_profile(traces, window, **({} if like is None else {"like": like}))
     elif method == detect.METHOD_MOVING_DIFFERENTIAL:
-        profile = detect.moving_differential_profile(traces, window, **extra)
+        profile = detect.moving_differential_profile(traces, window)
     elif method == detect.METHOD_MOVING_AVERAGE:
-        profile = detect.moving_average_profile(traces, window, avg_len, **extra)
+        profile = detect.moving_average_profile(traces, window, avg_len)
     else:
         raise ValueError(f"unknown method {method!r}")
     peak_index, position_m = detect.locate_peak(profile)
@@ -289,6 +289,7 @@ def _sweep_part(pairs) -> list:
                                         like=(profile, cols))[1]
             rows.append((duty, seed, report, _report_digest(traces) if hashed else None))
             del traces  # so the next synthesis does not run beside this matrix
+        del first, profile  # nor the next seed's draws beside this seed's first duty
     return rows
 
 

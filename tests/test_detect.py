@@ -28,7 +28,6 @@ from hocdvs.errors import ConfigError, NoDetectionError, NoEdgeError
 from hocdvs.detect import BLOCK_POINTS
 from hocdvs.experiments import (
     DUTY_CYCLES,
-    TRACE_AVG_LEN,
     TRACE_PULSE_POINTS,
     TRACE_WINDOW,
     analyze_traces,
@@ -250,24 +249,14 @@ def test_profile_carries_meters_per_point(make_profile):
     assert prof.fiber_points == 5
 
 
-# method -> its profile function, with the keyword-only like
-LIKE_PROFILES = {
-    "hoc": hoc_profile,
-    "mdiff": moving_differential_profile,
-    "mavg": lambda traces, window, **like: moving_average_profile(traces, window, TRACE_AVG_LEN,
-                                                                  **like),
-}
-
-
 class TestLikeProfile:
-    @pytest.mark.parametrize("method", list(LIKE_PROFILES))
     @pytest.mark.parametrize("point, num_traces, cpus, helpers", [
         pytest.param(1049, 100, 1, 0, id="inside-one-block"),
         pytest.param(BLOCK_POINTS, 100, 1, 0, id="across-a-block-boundary"),
         pytest.param(BLOCK_POINTS, 200, 2, 1, id="helper-threads"),
     ])
-    def test_patched_profile_is_the_full_profile(self, monkeypatch, method, point, num_traces,
-                                                 cpus, helpers):
+    def test_patched_profile_is_the_full_profile(self, monkeypatch, point, num_traces, cpus,
+                                                 helpers):
         monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         monkeypatch.setattr(detect.os, "cpu_count", lambda: cpus)
@@ -275,17 +264,17 @@ class TestLikeProfile:
         cfg = trace_config(0.3, 21, vibration_point=point, num_traces=num_traces)
         draws = _draws(first_cfg, num_traces)
         first, traces = synth_traces(first_cfg, draws), synth_traces(cfg, draws)
-        make = LIKE_PROFILES[method]
-        # a window of every trace, so each method's rows pass 1 MiB at 200 traces
-        first_profile, full = make(first, num_traces), make(traces, num_traces)
+        # a window of every trace; 200 traces of 1500 points pass 1 MiB
+        first_profile = hoc_profile(first, num_traces)
+        full = hoc_profile(traces, num_traces)
         made, thread = [], threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: made.append(kw) or thread(**kw))
-        got = make(traces, num_traces, like=(first_profile, _changed_columns(cfg, first_cfg)))
+        got = hoc_profile(traces, num_traces,
+                          like=(first_profile, _changed_columns(cfg, first_cfg)))
         assert got.values.tobytes() == full.values.tobytes()
         assert got.values.tobytes() != first_profile.values.tobytes()
         assert len(made) == helpers
 
-    @pytest.mark.parametrize("method", list(LIKE_PROFILES))
     @pytest.mark.parametrize("points, cols", [
         (1499, slice(1040, 1059)),
         (1501, slice(1040, 1059)),
@@ -293,10 +282,10 @@ class TestLikeProfile:
         (1500, slice(1490, 1501)),
         (1500, slice(-1, 10)),
     ], ids=["shorter", "longer", "empty", "beyond-the-end", "before-the-start"])
-    def test_like_must_fit_the_traces(self, method, points, cols):
+    def test_like_must_fit_the_traces(self, points, cols):
         traces = synth_traces(trace_config(0.1, 0))
         with pytest.raises(ValueError, match="like needs a profile of 1500 points"):
-            LIKE_PROFILES[method](traces, TRACE_WINDOW, like=(profile(np.ones(points)), cols))
+            hoc_profile(traces, TRACE_WINDOW, like=(profile(np.ones(points)), cols))
 
 
 class TestMovingDifferential:
