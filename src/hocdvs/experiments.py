@@ -30,6 +30,7 @@ from .synth import (
     _changed_columns,
     _draws,
     _sim_config,
+    _trace_rows,
     asymmetrize,
     config_digest,
     gen_square_wave,
@@ -226,26 +227,28 @@ def analyze_traces(
     *,
     avg_len: int = TRACE_AVG_LEN,
     guard: int = TRACE_GUARD,
-    like=None,
 ) -> tuple[detect.HocProfile, detect.DetectionReport]:
-    """Run one method end to end: profile, peak, location SNR, 10-90% resolution or None.
-    like goes to hoc_profile, which is called without it when it is None; the other methods
-    make their full profile."""
+    """Run one method end to end: its profile, then `_report_of` it."""
     if method == detect.METHOD_HOC:
-        profile = detect.hoc_profile(traces, window, **({} if like is None else {"like": like}))
+        profile = detect.hoc_profile(traces, window)
     elif method == detect.METHOD_MOVING_DIFFERENTIAL:
         profile = detect.moving_differential_profile(traces, window)
     elif method == detect.METHOD_MOVING_AVERAGE:
         profile = detect.moving_average_profile(traces, window, avg_len)
     else:
         raise ValueError(f"unknown method {method!r}")
+    return profile, _report_of(profile, method, guard)
+
+
+def _report_of(profile: detect.HocProfile, method: str, guard: int) -> detect.DetectionReport:
+    """The report of a method's profile: peak, location SNR, 10-90% resolution or None."""
     peak_index, position_m = detect.locate_peak(profile)
     snr = detect.location_snr(profile, peak_index, guard)
     try:
         resolution = detect.spatial_resolution(profile, peak_index)
     except NoEdgeError:
         resolution = None
-    return profile, detect.DetectionReport(
+    return detect.DetectionReport(
         peak_index=peak_index,
         peak_position_m=position_m,
         location_snr_db=snr,
@@ -270,26 +273,30 @@ def _report_digest(traces: TraceMatrix) -> str:
 
 def _sweep_part(pairs) -> list:
     """The (duty, seed, report, digest) rows of some (seed, hashed) pairs at every duty, in
-    (seed, duty) order, hoc at trace scale. Each seed's draws are made once for its four
-    duties, and its first duty's matrix and profile are made in full: a later duty copies
-    them and recomputes only what its event span reaches. digest is the matrix's
-    _report_digest if hashed, else None."""
+    (seed, duty) order, hoc at trace scale. A seed's draws are made once, and its first duty
+    is synthesized and analyzed in full. A later duty's matrix differs from it only in the
+    event span, and hoc reduces each column alone: so the span alone is synthesized, profiled
+    and written into a copy of the first profile. digest is the duty's _report_digest if
+    hashed, else None; a later duty synthesizes its full matrix for that digest alone."""
     rows = []
     for seed, hashed in pairs:
         for duty in DUTY_CYCLES:
             cfg = trace_config(duty, seed)
             if duty == DUTY_CYCLES[0]:
                 first_cfg, draws = cfg, _draws(cfg, TRACE_COUNT)
-                traces = first = synth_traces(cfg, draws)
-                profile, report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)
+                traces = synth_traces(cfg, draws)
+                first_profile, report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW)
             else:
                 cols = _changed_columns(cfg, first_cfg)
-                traces = synth_traces(cfg, draws, like=(first, cols))
-                report = analyze_traces(traces, detect.METHOD_HOC, TRACE_WINDOW,
-                                        like=(profile, cols))[1]
+                (span,) = _trace_rows(cfg, TRACE_COUNT, draws, cols)
+                span_traces = TraceMatrix(span, cfg.meters_per_point, cfg.trace_rate_hz)
+                values = first_profile.values.copy()
+                values[cols] = detect.hoc_profile(span_traces, TRACE_WINDOW).values
+                profile = detect.HocProfile(values, cfg.meters_per_point)
+                report = _report_of(profile, detect.METHOD_HOC, TRACE_GUARD)
+                traces = synth_traces(cfg, draws) if hashed else None
             rows.append((duty, seed, report, _report_digest(traces) if hashed else None))
-            del traces  # so the next synthesis does not run beside this matrix
-        del first, profile  # nor the next seed's draws beside this seed's first duty
+            del traces  # so no full matrix outlives its duty
     return rows
 
 

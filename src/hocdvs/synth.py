@@ -250,20 +250,11 @@ def gen_square_wave(n: int, spec: SquareWaveSpec) -> np.ndarray:
     return np.where(idx < spec.high_samples, float(spec.amplitude), 0.0)
 
 
-def synth_traces(cfg: SimConfig, draws=None, like=None) -> TraceMatrix:
+def synth_traces(cfg: SimConfig, draws=None) -> TraceMatrix:
     """Generate one seeded trace matrix under the amplitude-level model, in one
     chunk: its peak is the float64 matrix plus its float32 copy. draws, from
-    _draws(c, cfg.num_traces) of a config c that shares cfg's draws, replace cfg's own.
-    like=(traces, cols), with traces the matrix of such a config c and cols =
-    _changed_columns(cfg, c), gives a copy of traces with only cols synthesized."""
-    if like is None:
-        (amplitudes,) = _trace_rows(cfg, cfg.num_traces, draws)
-    else:
-        base, cols = like
-        if base.amplitudes.shape != (cfg.num_traces, cfg.fiber_points):
-            raise ValueError(f"like's matrix has shape {base.amplitudes.shape}, not cfg's")
-        amplitudes = base.amplitudes.copy()
-        (amplitudes[:, cols],) = _trace_rows(cfg, cfg.num_traces, draws, cols)
+    _draws(c, cfg.num_traces) of a config c that shares cfg's draws, replace cfg's own."""
+    (amplitudes,) = _trace_rows(cfg, cfg.num_traces, draws)
     amplitudes.setflags(write=False)  # hand the fresh matrix over without a copy
     return TraceMatrix(
         amplitudes=amplitudes,

@@ -496,7 +496,7 @@ class TestAnalyzeLargePayload:
         failed, helper_took_a_block = [], threading.Event()
         real_blockwise = detect._blockwise
 
-        def blockwise(traces, rows, reduce, like=None):
+        def blockwise(traces, rows, reduce):
             def reduce_or_fail(block):
                 if threading.current_thread() is threading.main_thread():
                     helper_took_a_block.wait(timeout=30)  # so the helper reduces one
@@ -504,7 +504,7 @@ class TestAnalyzeLargePayload:
                 failed.append(threading.current_thread())
                 helper_took_a_block.set()
                 raise RuntimeError("a helper part failed")
-            return real_blockwise(traces, rows, reduce_or_fail, like)
+            return real_blockwise(traces, rows, reduce_or_fail)
 
         monkeypatch.setattr(detect, "_blockwise", blockwise)
         threads = threading.active_count()

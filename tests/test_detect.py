@@ -33,7 +33,7 @@ from hocdvs.experiments import (
     analyze_traces,
     trace_config,
 )
-from hocdvs.synth import _changed_columns, _draws
+from hocdvs.synth import _changed_columns
 
 
 def _full_width_hoc(raw, window):
@@ -249,43 +249,35 @@ def test_profile_carries_meters_per_point(make_profile):
     assert prof.fiber_points == 5
 
 
-class TestLikeProfile:
-    @pytest.mark.parametrize("point, num_traces, cpus, helpers", [
-        pytest.param(1049, 100, 1, 0, id="inside-one-block"),
-        pytest.param(BLOCK_POINTS, 100, 1, 0, id="across-a-block-boundary"),
-        pytest.param(BLOCK_POINTS, 200, 2, 1, id="helper-threads"),
+class TestColumnSubsetProfile:
+    # the e2e sweep profiles a later duty's event span alone, then writes it into a copy of
+    # the first duty's profile: hoc reduces each column on its own, in any block or thread
+    @pytest.mark.parametrize("point, num_traces, cpus, helpers, span", [
+        pytest.param(1049, 100, 1, 0, (1040, 1059), id="inside-one-block"),
+        pytest.param(BLOCK_POINTS, 100, 1, 0, (503, 522), id="across-a-block-boundary"),
+        pytest.param(0, 100, 1, 0, (0, 10), id="clamped-at-the-start"),
+        pytest.param(1499, 100, 1, 0, (1490, 1500), id="clamped-at-the-end"),
+        pytest.param(BLOCK_POINTS, 200, 2, 1, (503, 522), id="helper-threads"),
     ])
-    def test_patched_profile_is_the_full_profile(self, monkeypatch, point, num_traces, cpus,
-                                                 helpers):
+    def test_profile_of_columns_is_those_columns_of_the_full_profile(
+            self, monkeypatch, point, num_traces, cpus, helpers, span):
         monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         monkeypatch.setattr(detect.os, "cpu_count", lambda: cpus)
         first_cfg = trace_config(0.1, 21, vibration_point=point, num_traces=num_traces)
         cfg = trace_config(0.3, 21, vibration_point=point, num_traces=num_traces)
-        draws = _draws(first_cfg, num_traces)
-        first, traces = synth_traces(first_cfg, draws), synth_traces(cfg, draws)
-        # a window of every trace; 200 traces of 1500 points pass 1 MiB
-        first_profile = hoc_profile(first, num_traces)
-        full = hoc_profile(traces, num_traces)
+        cols = _changed_columns(cfg, first_cfg)
+        assert cols == slice(*span)
+        traces = synth_traces(cfg)
         made, thread = [], threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: made.append(kw) or thread(**kw))
-        got = hoc_profile(traces, num_traces,
-                          like=(first_profile, _changed_columns(cfg, first_cfg)))
-        assert got.values.tobytes() == full.values.tobytes()
-        assert got.values.tobytes() != first_profile.values.tobytes()
+        # a window of every trace; 200 traces of 1500 points pass 1 MiB
+        full = hoc_profile(traces, num_traces)
         assert len(made) == helpers
-
-    @pytest.mark.parametrize("points, cols", [
-        (1499, slice(1040, 1059)),
-        (1501, slice(1040, 1059)),
-        (1500, slice(1040, 1040)),
-        (1500, slice(1490, 1501)),
-        (1500, slice(-1, 10)),
-    ], ids=["shorter", "longer", "empty", "beyond-the-end", "before-the-start"])
-    def test_like_must_fit_the_traces(self, points, cols):
-        traces = synth_traces(trace_config(0.1, 0))
-        with pytest.raises(ValueError, match="like needs a profile of 1500 points"):
-            hoc_profile(traces, TRACE_WINDOW, like=(profile(np.ones(points)), cols))
+        columns = TraceMatrix(traces.amplitudes[:, cols], traces.meters_per_point,
+                              traces.trace_rate_hz)
+        got = hoc_profile(columns, num_traces)
+        assert got.values.tobytes() == full.values[cols].tobytes()
 
 
 class TestMovingDifferential:

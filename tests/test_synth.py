@@ -331,15 +331,13 @@ class TestSynthTraces:
                        trace_config(0.4, 7, vibration_point=point), span, id=f"point{point}")
           for point, span in ((0, (0, 10)), (1499, (1490, 1500)))],
     ])
-    def test_a_copy_with_its_event_span_synthesized_is_the_matrix_itself(self, first_cfg, cfg,
-                                                                          span):
-        # the e2e sweep copies a seed's first matrix and synthesizes only a later duty's span
+    def test_its_event_span_synthesized_alone_is_those_columns_of_the_matrix(self, first_cfg,
+                                                                             cfg, span):
+        # the e2e sweep synthesizes a later duty's span alone, from its seed's first draws
         cols = _changed_columns(cfg, first_cfg)
         assert cols == slice(*span)
-        draws = _draws(first_cfg, TRACE_COUNT)
-        like = (synth_traces(first_cfg, draws), cols)
-        expected = synth_traces(cfg).amplitudes.tobytes()
-        assert synth_traces(cfg, draws, like=like).amplitudes.tobytes() == expected
+        (got,) = _trace_rows(cfg, TRACE_COUNT, _draws(first_cfg, TRACE_COUNT), cols)
+        assert got.tobytes() == synth_traces(cfg).amplitudes[:, cols].tobytes()
 
     @pytest.mark.parametrize("key, value", [
         ("noise_sigma", 0.03), ("sop_sigma", 0.01), ("pulse_width_points", 11),
@@ -349,23 +347,18 @@ class TestSynthTraces:
         cfg = trace_config(0.3, 5, **{key: value})
         assert _changed_columns(cfg, trace_config(0.1, 5)) == slice(0, 1500)
 
-    @pytest.mark.parametrize("like_cfg, cols, message", [
-        (trace_config(0.1, 5), slice(1041, 1059), "do not hold the event span"),
-        (trace_config(0.1, 5), slice(1040, 1501), "do not hold the event span"),
-        (trace_config(0.1, 5, num_traces=99), slice(1040, 1059), "has shape"),
-    ], ids=["short-of-the-span", "beyond-the-fiber", "another-shape"])
-    def test_like_must_hold_the_event_span_of_a_matrix_of_its_shape(self, like_cfg, cols,
-                                                                     message):
-        with pytest.raises(ValueError, match=message):
-            synth_traces(trace_config(0.3, 5), like=(synth_traces(like_cfg), cols))
+    @pytest.mark.parametrize("cols", [slice(1041, 1059), slice(1040, 1501)],
+                             ids=["short-of-the-span", "beyond-the-fiber"])
+    def test_columns_must_hold_the_event_span(self, cols):
+        with pytest.raises(ValueError, match="do not hold the event span"):
+            next(_trace_rows(trace_config(0.3, 5), TRACE_COUNT, None, cols))
 
     def test_overflow_in_the_event_span_is_the_config_error(self):
         first_cfg = trace_config(0.1, 9)
         cfg = trace_config(0.3, 9, **{"vibration.amplitude": 1.0e300})
         draws = _draws(first_cfg, TRACE_COUNT)
-        like = (synth_traces(first_cfg, draws), _changed_columns(cfg, first_cfg))
         with pytest.raises(ConfigError) as exc:
-            synth_traces(cfg, draws, like=like)
+            next(_trace_rows(cfg, TRACE_COUNT, draws, _changed_columns(cfg, first_cfg)))
         assert exc.type is ConfigError
         assert str(exc.value) == "config drives amplitudes beyond the float32 range of trace files"
 
