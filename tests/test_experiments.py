@@ -215,6 +215,30 @@ def test_localization_sweep_runs_analyze_traces_once_per_seed(monkeypatch):
     assert sorted(map(id, first_reports)) == sorted(id(call[4]) for call in calls)
 
 
+@pytest.mark.parametrize("duty", DUTY_CYCLES[1:])
+def test_localization_sweep_reports_a_later_duty_from_its_full_profile(monkeypatch, duty):
+    # a later duty's span profile, written into a copy of its seed's first profile, is the
+    # full profile of its own matrix byte for byte, at the hashed seed 0 and at seed 1
+    profiles = {}
+    report_of = experiments._report_of
+
+    def recorded(profile, method, guard):
+        report = report_of(profile, method, guard)
+        profiles[id(report)] = profile
+        return report
+
+    monkeypatch.setattr(experiments, "_report_of", recorded)
+    rows = localization_sweep(seeds=[0, 1])
+    got = {seed: profiles[id(report)] for d, seed, report, _ in rows if d == duty}
+    for seed, profile in got.items():
+        full = detect.hoc_profile(synth_traces(trace_config(duty, seed)), 100)
+        first = detect.hoc_profile(synth_traces(trace_config(DUTY_CYCLES[0], seed)), 100)
+        assert profile.values.tobytes() == full.values.tobytes(), seed
+        assert profile.values.tobytes() != first.values.tobytes(), seed
+        assert profile.meters_per_point == full.meters_per_point
+    assert sorted(got) == [0, 1]
+
+
 def test_localization_sweep_synthesizes_and_reduces_later_duties_in_their_span(monkeypatch):
     # no output shows a sweep that falls back to full work; these counts do
     reductions, checked_columns = [], {np.float64: [], np.float32: []}

@@ -347,11 +347,16 @@ class TestSynthTraces:
         cfg = trace_config(0.3, 5, **{key: value})
         assert _changed_columns(cfg, trace_config(0.1, 5)) == slice(0, 1500)
 
-    @pytest.mark.parametrize("cols", [slice(1041, 1059), slice(1040, 1501)],
-                             ids=["short-of-the-span", "beyond-the-fiber"])
-    def test_columns_must_hold_the_event_span(self, cols):
+    @pytest.mark.parametrize("point, cols", [
+        (1049, slice(1041, 1059)),
+        (1049, slice(1040, 1501)),
+        (0, slice(-1, 10)),  # as an index, -1 would take the last column
+        (1049, slice(1040, 1059, 2)),
+    ], ids=["short-of-the-span", "beyond-the-fiber", "before-the-start", "with-a-step"])
+    def test_columns_must_hold_the_event_span(self, point, cols):
         with pytest.raises(ValueError, match="do not hold the event span"):
-            next(_trace_rows(trace_config(0.3, 5), TRACE_COUNT, None, cols))
+            next(_trace_rows(trace_config(0.3, 5, vibration_point=point), TRACE_COUNT, None,
+                             cols))
 
     def test_overflow_in_the_event_span_is_the_config_error(self):
         first_cfg = trace_config(0.1, 9)
