@@ -92,6 +92,28 @@ def _symmetric_base(seed: int) -> np.ndarray:
     return np.concatenate([half, -half, np.zeros(REFERENCE_LENGTH % 2)])
 
 
+def _in_parts(run, items) -> list:
+    """run(part) over one contiguous part of items per usable CPU, its results joined in item
+    order: the first part on the calling thread, the rest on a pool. A part's exception
+    reaches the caller after the pool has joined."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
+    items = list(items)
+    n = max(1, min(detect._usable_cpus(), len(items)))
+    parts = [items[k * len(items) // n : (k + 1) * len(items) // n] for k in range(n)]
+    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
+        futures = [pool.submit(run, part) for part in parts[1:]]
+        return run(parts[0]) + [result for future in futures for result in future.result()]
+
+
+def _asymmetry_rows(seeds) -> list:
+    """The mean cubes of K1..K6, one list per seed."""
+    rows = []
+    for base in map(_symmetric_base, seeds):
+        rows.append([mean_cube_axis0(base)] + [mean_cube_axis0(asymmetrize(base, lo, hi))
+                                               for lo, hi in ASYMMETRY_INTERVALS])
+    return rows
+
+
 def asymmetry_sweep(seeds) -> np.ndarray:
     """Per-seed mean cubes of K1..K6; rows are seeds, columns are K indices.
 
@@ -99,16 +121,11 @@ def asymmetry_sweep(seeds) -> np.ndarray:
     its mean cube is zero to rounding and each K2..K6 column is exactly the
     mean cube induced by mirroring its value interval. The mean cube is
     taken about zero, not about the sample mean: the mean shift that
-    mirroring produces is part of the asymmetry being measured.
+    mirroring produces is part of the asymmetry being measured. The seeds
+    go in one contiguous part per usable CPU (`_in_parts`); each seed owns
+    its generator, so the table does not depend on the worker count.
     """
-    seeds = list(seeds)
-    out = np.empty((len(seeds), 1 + len(ASYMMETRY_INTERVALS)))
-    for row, seed in enumerate(seeds):
-        base = _symmetric_base(seed)
-        out[row, 0] = mean_cube_axis0(base)
-        for col, (lo, hi) in enumerate(ASYMMETRY_INTERVALS, start=1):
-            out[row, col] = mean_cube_axis0(asymmetrize(base, lo, hi))
-    return out
+    return np.reshape(_in_parts(_asymmetry_rows, seeds), (-1, 1 + len(ASYMMETRY_INTERVALS)))
 
 
 def _draw_streams(seeds, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +211,13 @@ def snr2_statistics(duty: float, length: int, snr1_db: float, seeds) -> tuple[fl
     """Mean and standard deviation over seeds of the output SNR of a square
     wave mixed at snr1_db. A seed whose equal-power noise reference has a
     degenerate cumulant redraws it from its next child seed, so each value
-    stays deterministic per (duty, length, snr1_db, seed)."""
+    stays deterministic per (duty, length, snr1_db, seed). It needs at least one seed and a
+    length of at least 3: a centred row of one or two samples has a mean cube of exactly 0."""
     seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("snr2_statistics needs at least one seed")
+    if length < 3:
+        raise ConfigError(f"snr2_statistics needs a length of at least 3, got {length}")
     return _snr2_statistics(duty, snr1_db, seeds, *_draw_streams(seeds, length))
 
 
@@ -303,16 +325,9 @@ def _sweep_part(pairs) -> list:
 def localization_sweep(seeds):
     """(duty, seed, report, digest) rows for every (duty, seed) pair at trace scale, in
     (duty, position in seeds) order, with a digest at seeds[0] only, whose reports the e2e
-    preset writes. The seeds go in one contiguous part per usable CPU, so each part holds
-    whole seeds: the first on the calling thread, the rest on a pool."""
-    from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
-    pairs = [(seed, seed == seeds[0]) for seed in seeds]
-    n = max(1, min(detect._usable_cpus(), len(pairs)))
-    parts = [pairs[k * len(pairs) // n : (k + 1) * len(pairs) // n] for k in range(n)]
-    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
-        futures = [pool.submit(_sweep_part, part) for part in parts[1:]]
-        # the calling thread runs its part before it waits on the pool's
-        rows = _sweep_part(parts[0]) + [row for future in futures for row in future.result()]
+    preset writes. The seeds go in one contiguous part per usable CPU (`_in_parts`), so each
+    part holds whole seeds and the rows do not depend on the worker count."""
+    rows = _in_parts(_sweep_part, [(seed, seed == seeds[0]) for seed in seeds])
     duties = len(DUTY_CYCLES)
     return [row for d in range(duties) for row in rows[d::duties]]
 

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,6 +102,28 @@ def test_kernel_exhausted_attempts_message(monkeypatch):
     assert exc.type is HocdvsError
 
 
+@pytest.mark.filterwarnings("error")
+def test_snr2_statistics_of_no_seeds_is_config_error():
+    with pytest.raises(ConfigError, match="^snr2_statistics needs at least one seed$"):
+        snr2_statistics(0.2, 120, 0.0, [])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_snr2_statistics_below_three_samples_is_config_error(length):
+    # a centred row of one or two samples has a mean cube of exactly 0, so no noise
+    # reference could anchor the ratio
+    with pytest.raises(ConfigError, match=f"^snr2_statistics needs a length of at least 3, "
+                                          f"got {length}$"):
+        snr2_statistics(0.2, length, 0.0, range(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_snr2_statistics_at_three_samples_and_one_seed():
+    mean, std = snr2_statistics(0.1, 3, 0.0, [5])
+    assert math.isfinite(mean) and std == 0.0
+
+
 @pytest.mark.parametrize("length", SWEEP_LENGTHS)
 def test_shorter_draw_is_a_prefix_of_the_longest(length):
     for seed in (0, 7, 199):
@@ -134,6 +157,79 @@ def test_asymmetry_sweep_base_is_exactly_symmetric():
     assert np.all(np.abs(table[:, 0]) <= 1e-14)
     # each mirrored interval then induces a strictly positive mean cube
     assert np.all(table[:, 1:] > 0.0)
+
+
+def _serial_asymmetry_table(seeds):
+    """The reference table, one seed at a time on the calling thread."""
+    out = np.empty((len(seeds), 1 + len(ASYMMETRY_INTERVALS)))
+    for row, seed in enumerate(seeds):
+        base = experiments._symmetric_base(seed)
+        out[row, 0] = mean_cube_axis0(base)
+        for col, (lo, hi) in enumerate(ASYMMETRY_INTERVALS, start=1):
+            out[row, col] = mean_cube_axis0(synth.asymmetrize(base, lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("seeds", [range(6), [3, 0, 2, 49, 7]], ids=["0..5", "3,0,2,49,7"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_asymmetry_sweep_does_not_depend_on_the_worker_count(monkeypatch, cpus, seeds):
+    _set_usable_cpus(monkeypatch, cpus)
+    parts = []
+    asymmetry_rows = experiments._asymmetry_rows
+
+    def recorded(part):
+        parts.append(list(part))
+        return asymmetry_rows(part)
+
+    monkeypatch.setattr(experiments, "_asymmetry_rows", recorded)
+    table = asymmetry_sweep(seeds)
+    expected = _serial_asymmetry_table(list(seeds))
+    assert table.dtype == np.float64 and table.shape == expected.shape
+    assert table.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    # one part per usable CPU, each a contiguous run of the seeds in their given order
+    assert len(parts) == cpus
+    assert sum(sorted(parts, key=lambda part: list(seeds).index(part[0])), []) == list(seeds)
+    if seeds == range(6):
+        assert sorted(map(len, parts)) == [6 // cpus] * cpus
+
+
+def test_asymmetry_sweep_of_no_seeds_is_an_empty_table():
+    table = asymmetry_sweep(range(0))
+    assert table.shape == (0, 1 + len(ASYMMETRY_INTERVALS))
+    assert table.dtype == np.float64
+
+
+def test_asymmetry_sweep_failure_in_a_pool_part_reaches_the_caller(monkeypatch):
+    _set_usable_cpus(monkeypatch, 3)
+    symmetric_base, raised_on = experiments._symmetric_base, []
+
+    def last_seed_fails(seed):
+        if seed == 5:  # the last seed, in the third part
+            raised_on.append(threading.current_thread())
+            raise HocdvsError("seed 5 fails")
+        return symmetric_base(seed)
+
+    monkeypatch.setattr(experiments, "_symmetric_base", last_seed_fails)
+    threads = threading.active_count()
+    with pytest.raises(HocdvsError) as exc:
+        asymmetry_sweep(range(6))
+    assert exc.type is HocdvsError
+    assert str(exc.value) == "seed 5 fails"
+    assert raised_on and raised_on[0] is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("sweep", [asymmetry_sweep, localization_sweep])
+def test_one_usable_cpu_submits_nothing_to_a_pool(monkeypatch, sweep):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("submitted to a pool")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+    _set_usable_cpus(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="^submitted to a pool$"):
+        sweep([0, 1])
+    _set_usable_cpus(monkeypatch, 1)
+    sweep([0, 1])
 
 
 def test_localization_sweep_rows():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hocdvs import cli, experiments
+from hocdvs import cli, detect, experiments
 from hocdvs.synth import format_sim_config
 
 MANIFEST = Path(__file__).with_name("golden_outputs.json")
@@ -57,10 +57,8 @@ def _run_outputs(root: Path) -> None:
                              "--window", str(window), "--out", str(out)]) == 0
 
 
-def output_digests(root: Path) -> dict[str, str]:
-    """Run every covered case under root; map each output's relative path to its sha256."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        _run_outputs(root)
+def _file_digests(root: Path) -> dict[str, str]:
+    """Map each file under root, by its relative path, to its sha256."""
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*"))
@@ -68,16 +66,40 @@ def output_digests(root: Path) -> dict[str, str]:
     }
 
 
-def test_every_output_matches_the_golden_manifest(tmp_path):
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    golden, digests = manifest["files"], output_digests(tmp_path)
+def output_digests(root: Path) -> dict[str, str]:
+    """Run every covered case under root; map each output's relative path to its sha256."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        _run_outputs(root)
+    return _file_digests(root)
+
+
+def _assert_golden(golden: dict[str, str], digests: dict[str, str], numpy_version: str) -> None:
     changed = sorted(
         name for name in golden.keys() | digests.keys() if golden.get(name) != digests.get(name)
     )
     assert not changed, (
-        f"outputs differ from {MANIFEST.name} (made with numpy {manifest['numpy']}, "
+        f"outputs differ from {MANIFEST.name} (made with numpy {numpy_version}, "
         f"running numpy {np.__version__}): {changed}"
     )
+
+
+def test_every_output_matches_the_golden_manifest(tmp_path):
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    _assert_golden(manifest["files"], output_digests(tmp_path), manifest["numpy"])
+
+
+def test_sweeps_on_one_usable_cpu_match_the_golden_manifest(tmp_path, monkeypatch):
+    # fig1 and e2e split their seeds over the usable CPUs; on one CPU each runs whole
+    monkeypatch.setattr(detect, "_usable_cpus", lambda: 1)
+    cases = {"fig1_asymmetry": ("fig1_asymmetry", None),
+             "e2e_localization": ("e2e_localization", None),
+             "e2e_seeds_3_0_2_49_7": ("e2e_localization", [3, 0, 2, 49, 7])}
+    for case, (preset, seeds) in cases.items():
+        experiments.run_preset(preset, tmp_path / case, seeds)
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    golden = {name: digest for name, digest in manifest["files"].items()
+              if name.partition("/")[0] in cases}
+    _assert_golden(golden, _file_digests(tmp_path), manifest["numpy"])
 
 
 if __name__ == "__main__":
