@@ -29,10 +29,13 @@ MANIFEST = Path(__file__).with_name("golden_outputs.json")
 # Each simulated file: overrides of trace_config(0.2, 0), then its analyze runs as
 # (method alias, window). "large" is 300 x 1500 float32, over 1 MiB, so the digest
 # thread and the profile helpers run; its event at 512 lies across a profile block edge.
+# "long" is 100 x 9000: its 3.6 MB payload spans four range-check blocks, and each
+# profile CSV spans three write pieces (4096 + 4096 + 808 rows).
 SIMULATIONS = {
     "trace": ({}, [("hoc", 100), ("mdiff", 100), ("mavg", 100), ("hoc", 50)]),
     "large": ({"num_traces": 300, "vibration_point": 512},
               [("hoc", 300), ("mdiff", 300), ("mavg", 300)]),
+    "long": ({"fiber_points": 9000}, [("hoc", 100), ("mdiff", 100), ("mavg", 100)]),
     "point0": ({"vibration_point": 0}, [("hoc", 100)]),
 }
 
