@@ -15,11 +15,13 @@ Trace file layout (little-endian throughout):
 Amplitudes are stored as float32: acquisition hardware is 8-14 bit, so
 single precision loses nothing while halving file size; every TraceMatrix
 holds float32. Metadata stays float64. The payload is written in row
-chunks; a failed write leaves no file.
+chunks, a profile CSV in pieces of rows; a failed write of any file leaves
+no file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -48,6 +50,8 @@ _HEADER = struct.Struct("<8sIIIddB")
 HEADER_SIZE = _HEADER.size
 # payload bytes read_traces reads per chunk (at least one row)
 _READ_CHUNK_BYTES = 1 << 20
+# rows per profile CSV piece, about 100 KB of text
+_CSV_PIECE_ROWS = 4096
 
 
 def write_traces(path, traces: TraceMatrix) -> None:
@@ -57,22 +61,30 @@ def write_traces(path, traces: TraceMatrix) -> None:
 
 
 def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, chunks) -> None:
-    """Write a W x M trace file from row chunks. When a chunk or a write fails,
-    the file is removed if fstat shows a regular file, so /dev/null stays."""
+    """Write a W x M trace file from row chunks; a failed chunk or write leaves no file."""
     header = _header_bytes(shape, meters_per_point, trace_rate_hz)
+    with _written(path, "traces", binary=True) as fh:
+        fh.write(header)
+        for chunk in chunks:
+            fh.write(np.ascontiguousarray(chunk, dtype="<f4"))
+
+
+@contextlib.contextmanager
+def _written(path, what: str, binary: bool = False):
+    """Yield path open for writing (text as UTF-8, \\n newlines). A failure removes the
+    file if fstat shows a regular file, so /dev/null stays, and is re-raised (OSError
+    as PersistenceError)."""
     try:
-        with open(path, "wb") as fh:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n") as fh:
             try:
-                fh.write(header)
-                for chunk in chunks:
-                    fh.write(np.ascontiguousarray(chunk, dtype="<f4"))
+                yield fh
                 fh.flush()
             except BaseException:
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     os.unlink(path)
                 raise
     except OSError as exc:
-        raise PersistenceError(f"cannot write traces to {path}: {exc}") from exc
+        raise PersistenceError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def _header_bytes(shape, meters_per_point, trace_rate_hz) -> bytes:
@@ -140,23 +152,29 @@ def _check_payload_size(payload_size: int, expected: int, source) -> None:
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _positions(fiber_points: int, meters_per_point) -> tuple[str, ...]:
-    return tuple("%.12g" % (idx * meters_per_point) for idx in range(fiber_points))
+def _row_templates(fiber_points: int, meters_per_point) -> tuple[str, ...]:
+    """A profile's CSV rows as `%` templates of up to _CSV_PIECE_ROWS rows, each with
+    its position rendered and %.12g left for its value. Memoized for the last
+    geometry, as a monitor repeats it."""
+    return tuple(
+        "".join("%.12g,%%.12g\n" % (idx * meters_per_point)
+                for idx in range(start, min(start + _CSV_PIECE_ROWS, fiber_points)))
+        for start in range(0, fiber_points, _CSV_PIECE_ROWS)
+    )
 
 
 def export_profile_csv(profile: HocProfile, path) -> None:
     """Write `position_m,value` rows, one per fiber point, 12 significant digits.
-    The position column is memoized for the last geometry, as a monitor repeats it."""
-    values = profile.values.tolist()
-    cells = [""] * (2 * len(values))
-    cells[0::2] = _positions(len(values), profile.meters_per_point)
-    cells[1::2] = values
-    text = "position_m,value\n" + "%s,%.12g\n" * len(values) % tuple(cells)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise PersistenceError(f"cannot write profile to {path}: {exc}") from exc
+
+    Each piece of _CSV_PIECE_ROWS rows is one `%` of its row template over the
+    piece's values, written as it is made, so the text in memory is one piece
+    long and other threads run between writes. A failed export leaves no file."""
+    values = profile.values
+    templates = _row_templates(values.size, profile.meters_per_point)
+    with _written(path, "profile") as fh:
+        fh.write("position_m,value\n")
+        for start, template in zip(range(0, values.size, _CSV_PIECE_ROWS), templates):
+            fh.write(template % tuple(values[start : start + _CSV_PIECE_ROWS].tolist()))
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +201,9 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_report_json(path, report: DetectionReport, *, window: int, config_digest: str) -> None:
-    """Serialize a detection report deterministically (sorted keys)."""
+    """Serialize a detection report deterministically (sorted keys); a failed
+    write leaves no file."""
     payload = {**asdict(report), "window": window, "config_digest": config_digest}
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise PersistenceError(f"cannot write report to {path}: {exc}") from exc
+    with _written(path, "report") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")

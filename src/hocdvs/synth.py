@@ -62,6 +62,8 @@ __all__ = [
 TRUNCATION_LIMIT = 3.46
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+# bytes per row block of the range check (at least one row)
+_RANGE_BLOCK_BYTES = 1 << 20
 
 
 def _finite_positive(value: float) -> bool:
@@ -70,8 +72,13 @@ def _finite_positive(value: float) -> bool:
 
 
 def _in_float32_range(arr: np.ndarray) -> bool:
-    """Whether arr fits the float32 range of trace files; NaN fails both comparisons."""
-    return bool(-_FLOAT32_MAX <= arr.min() and arr.max() <= _FLOAT32_MAX)
+    """Whether arr (one non-empty row or more) fits the float32 range of trace files; NaN
+    fails both comparisons. It takes min, then max, of each row block of about
+    _RANGE_BLOCK_BYTES, so max reads a block while it is still in cache; the verdict
+    is that of the whole array."""
+    step = max(1, _RANGE_BLOCK_BYTES // arr[:1].nbytes)
+    return all(-_FLOAT32_MAX <= block.min() and block.max() <= _FLOAT32_MAX
+               for block in (arr[start : start + step] for start in range(0, len(arr), step)))
 
 
 def _check_fiber_extent(meters_per_point: float, fiber_points: int, error: type) -> None:

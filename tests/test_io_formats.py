@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import struct
@@ -30,6 +31,27 @@ from hocdvs.synth import format_sim_config
 
 def small_matrix(rows, mpp=1.0, rate=10000.0):
     return TraceMatrix(np.asarray(rows, dtype=float), mpp, rate)
+
+
+def fail_text_write(monkeypatch, failing):
+    """Make the given write (counted from 1) of every text file that io_formats
+    opens raise ENOSPC; return the list of lengths written before it."""
+    real_open, written = open, []
+
+    def opened(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        if mode == "w":
+            def write(text):
+                if len(written) + 1 == failing:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(len(text))
+                return type(fh).write(fh, text)
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(io_formats, "open", opened, raising=False)
+    return written
 
 
 class TestTraceFile:
@@ -294,6 +316,65 @@ class TestProfileCsv:
                            for idx, value in enumerate(prof.values.tolist()))
             assert path.read_bytes() == ("position_m,value\n" + rows).encode()
 
+    # piece edges, with integer and non-integer spacings
+    PIECE_GEOMETRIES = [(4095, 0.37), (4096, 1.0), (4097, 2.5e-3), (8193, 0.8)]
+
+    @pytest.mark.parametrize("first, second",
+                             zip(PIECE_GEOMETRIES, PIECE_GEOMETRIES[1:] + PIECE_GEOMETRIES[:1]),
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_pieces_match_per_row_rendering(self, tmp_path, first, second):
+        assert io_formats._CSV_PIECE_ROWS == 4096
+        rng = np.random.default_rng(first[0])
+        path = tmp_path / "p.csv"
+        for points, mpp in (first, second, first):
+            prof = HocProfile(rng.standard_normal(points) * 10.0 ** rng.integers(-30, 30, points),
+                              mpp)
+            export_profile_csv(prof, path)
+            rows = "".join("%.12g,%.12g\n" % (idx * mpp, value)
+                           for idx, value in enumerate(prof.values.tolist()))
+            assert path.read_bytes() == ("position_m,value\n" + rows).encode()
+
+    def test_each_format_call_takes_at_most_one_piece(self, tmp_path, monkeypatch):
+        sizes, templates = [], io_formats._row_templates
+
+        class Template(str):
+            def __mod__(self, values):
+                sizes.append(len(values))
+                return str.__mod__(self, values)
+
+        monkeypatch.setattr(io_formats, "_row_templates",
+                            lambda *geometry: tuple(map(Template, templates(*geometry))))
+        for points in (1, 4096, 8193):
+            sizes.clear()
+            export_profile_csv(HocProfile(np.ones(points), 1.0), tmp_path / "p.csv")
+            assert max(sizes) <= io_formats._CSV_PIECE_ROWS
+            assert sum(sizes) == points
+        assert sizes == [4096, 4096, 1]
+
+    def test_write_failing_on_the_second_piece_leaves_no_file(self, tmp_path, monkeypatch):
+        written = fail_text_write(monkeypatch, failing=3)  # header, first piece, second
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_text("position_m,value\n0,1\n")
+        for path in (fresh, existing):
+            written.clear()
+            with pytest.raises(PersistenceError, match="cannot write profile to .*No space"):
+                export_profile_csv(HocProfile(np.ones(9000), 1.0), path)
+            assert written[0] == len("position_m,value\n") and len(written) == 2
+            assert not path.exists()
+
+    def test_analyze_whose_profile_write_fails_exits_4_with_no_output(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        config, traces = tmp_path / "run.cfg", tmp_path / "run.hocdvs"
+        config.write_text(format_sim_config(trace_config(0.2, 0, fiber_points=5000,
+                                                         num_traces=20)))
+        assert main(["simulate", "--config", str(config), "--out", str(traces)]) == 0
+        fail_text_write(monkeypatch, failing=3)
+        out = tmp_path / "out"
+        assert main(["analyze", "--traces", str(traces), "--method", "hoc", "--window", "20",
+                     "--out", str(out)]) == PersistenceError.exit_code == 4
+        assert "cannot write profile" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_header_line(self, tmp_path):
         prof = HocProfile(np.array([1.0]), 1.0)
         path = tmp_path / "p.csv"
@@ -341,6 +422,13 @@ class TestReportJson:
         path = tmp_path / "r.json"
         write_report_json(path, self.make_report(sr=None), window=100, config_digest="d")
         assert json.loads(path.read_text())["spatial_resolution_m"] is None
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        fail_text_write(monkeypatch, failing=2)
+        path = tmp_path / "r.json"
+        with pytest.raises(PersistenceError, match="cannot write report to .*No space"):
+            write_report_json(path, self.make_report(), window=100, config_digest="d")
+        assert not path.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

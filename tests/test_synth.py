@@ -24,8 +24,8 @@ from hocdvs import (
     third_cumulant_zero_lag,
     write_traces,
 )
-from hocdvs.errors import ConfigError, HocdvsError
-from hocdvs import experiments, io_formats
+from hocdvs.errors import ConfigError, HocdvsError, PersistenceError
+from hocdvs import experiments, io_formats, synth
 from hocdvs.experiments import (
     ASYMMETRY_INTERVALS,
     DUTY_CYCLES,
@@ -527,6 +527,54 @@ class TestTraceMatrixInvariants:
         for produced in (traces, read_traces(path)):
             assert not produced.amplitudes.flags.writeable
             assert produced.amplitudes.flags.owndata
+
+
+def _blocked_matrix(dtype, row, value):
+    """Seven rows, two per range-check block, so four blocks. value sits in the given
+    row (0 the first, 2 and 3 the first and last of a middle block, 6 the last), in
+    column 0 of the first row, the last column of the last row, in between for others."""
+    cols = synth._RANGE_BLOCK_BYTES // (2 * np.dtype(dtype).itemsize)
+    matrix = np.ones((7, cols), dtype)
+    matrix[row, row * (cols - 1) // 6] = value
+    return matrix
+
+
+def _trace_file(path, matrix):
+    path.write_bytes(io_formats._header_bytes(matrix.shape, 1.0, 1000.0)
+                     + matrix.astype("<f4").tobytes())
+    return path
+
+
+class TestBlockwiseRangeCheck:
+    ROWS = (0, 2, 3, 6)
+    OUT_OF_RANGE = [(np.float32, v) for v in (np.nan, np.inf, -np.inf)] + [
+        (np.float64, v) for v in (np.nan, np.inf, -np.inf, 3.5e38, -3.5e38)]
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("dtype, value", OUT_OF_RANGE)
+    def test_rejects_a_bad_value_in_any_block(self, dtype, value, row):
+        matrix = _blocked_matrix(dtype, row, value)
+        assert synth._in_float32_range(matrix) is False
+        with pytest.raises(ValueError, match="amplitudes must be finite and within the float32"):
+            TraceMatrix(matrix, 1.0, 1000.0)
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_trace_file_with_a_bad_value_in_any_block_is_io_error(self, tmp_path, value, row):
+        path = _trace_file(tmp_path / "t.hocdvs", _blocked_matrix(np.float32, row, value))
+        with pytest.raises(PersistenceError, match="amplitudes must be finite"):
+            read_traces(path)
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_accepts_the_float32_maximum_in_any_block(self, tmp_path, dtype, sign, row):
+        matrix = _blocked_matrix(dtype, row, sign * float(np.finfo(np.float32).max))
+        assert synth._in_float32_range(matrix) is True
+        expected = matrix.astype(np.float32).tobytes()
+        assert TraceMatrix(matrix, 1.0, 1000.0).amplitudes.tobytes() == expected
+        path = _trace_file(tmp_path / "t.hocdvs", matrix)
+        assert read_traces(path).amplitudes.tobytes() == expected
 
 
 # The two array-holding dataclasses share one copy-and-freeze rule. Each
