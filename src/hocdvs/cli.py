@@ -8,6 +8,7 @@ that is exactly zero, or a location SNR below --min-snr-db), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import math
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import detect, experiments, io_formats
 from .errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
-from .synth import _trace_rows, config_digest, load_sim_config
+from .synth import _helper_threads, _trace_rows, config_digest, load_sim_config
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -84,9 +85,10 @@ def _parse_seed_range(text: str) -> range:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config)
-    chunks = _trace_rows(cfg, max(1, _CHUNK_BYTES // (8 * cfg.fiber_points)))
-    io_formats.write_trace_rows(args.out, (cfg.num_traces, cfg.fiber_points), cfg.meters_per_point,
-                                cfg.trace_rate_hz, chunks)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * cfg.fiber_points))
+    with contextlib.closing(_trace_rows(cfg, per_chunk)) as chunks:  # joins a draw-ahead thread
+        io_formats.write_trace_rows(args.out, (cfg.num_traces, cfg.fiber_points),
+                                    cfg.meters_per_point, cfg.trace_rate_hz, chunks)
     print(f"config_digest={config_digest(cfg)}")
     print(f"seed={cfg.seed}")
     print(f"wrote {cfg.num_traces}x{cfg.fiber_points} traces to {args.out}")
@@ -95,8 +97,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 class _TraceDigest:
     """The sha256 that read_traces feeds: the header on the calling thread, then
-    each payload chunk, queued as it lands to one thread when the header promises
-    detect._THREAD_MIN_BYTES or more and two or more CPUs are usable."""
+    each payload chunk, queued as it lands to one thread when _helper_threads
+    allows one for the payload the header promises, hashed while the caller reads."""
 
     def __init__(self):
         self.sha, self.chunks, self.worker, self.failures = hashlib.sha256(), None, None, []
@@ -109,8 +111,7 @@ class _TraceDigest:
         if self.chunks is None:  # the header, which read_traces has checked
             self.chunks = queue.SimpleQueue()
             (num_traces, fiber_points), _, _ = io_formats._parse_header(data, "header")
-            if (4 * num_traces * fiber_points >= detect._THREAD_MIN_BYTES
-                    and detect._usable_cpus() > 1):
+            if _helper_threads(4 * num_traces * fiber_points, 2):  # reading and hashing
                 worker = threading.Thread(target=self._hash_chunks)
                 worker.start()
                 self.worker = worker

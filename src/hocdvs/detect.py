@@ -21,7 +21,6 @@ root of the same profile gives 1.000 on noise-free traces.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, NoDetectionError, NoEdgeError
 from .stats import mean_cube_axis0 as _mean_cube_axis0  # private, so a tracer wraps no helper call
-from .synth import TraceMatrix, _finite_positive, _freeze, _real_array
+from .synth import TraceMatrix, _finite_positive, _freeze, _helper_threads, _real_array
 
 __all__ = [
     "DetectionReport",
@@ -58,15 +57,6 @@ METHOD_ALIASES = {
 # Fiber points per block of every profile: a float64 block of 500 traces
 # is 2 MB, which stays in cache while it is reduced.
 BLOCK_POINTS = 512
-# Bytes worth a thread: analyze's digest thread and _blockwise's helpers start only
-# for this much float32 or more (the trace-scale matrix is 600 KB); below, a thread costs more
-_THREAD_MIN_BYTES = 1 << 20
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask where the OS has one)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,11 +114,11 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
     first `rows` traces, widened into a C-ordered float64 buffer per thread
     that `reduce` may overwrite; no full-size float64 copy is ever made.
 
-    When those rows hold _THREAD_MIN_BYTES or more, the calling thread and one
-    helper per further usable CPU take the next block start from one locked
-    iterator. Each block's values depend on its columns only, so the profile
-    is the same whichever thread reduces a block. A failure stops every part
-    and is raised after the helpers are joined.
+    The calling thread and the helpers _helper_threads allows for those rows
+    and blocks (from 1 MiB of rows, one per further usable CPU) take the next
+    block start from one locked iterator. Each block's values depend on its
+    columns only, so the profile is the same whichever thread reduces a block.
+    A failure stops every part and is raised after the helpers are joined.
     """
     amps, m = traces.amplitudes[:rows], traces.fiber_points
     values, failures = np.empty(m), []
@@ -150,7 +140,7 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
             failures.append(exc)
 
     blocks = -(-m // BLOCK_POINTS)
-    helpers = min(_usable_cpus(), blocks) - 1 if amps.nbytes >= _THREAD_MIN_BYTES else 0
+    helpers = _helper_threads(amps.nbytes, blocks)
     started = []
     try:
         for thread in [threading.Thread(target=part) for _ in range(helpers)]:

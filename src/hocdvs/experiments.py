@@ -31,6 +31,7 @@ from .synth import (
     _draws,
     _sim_config,
     _trace_rows,
+    _usable_cpus,
     asymmetrize,
     config_digest,
     gen_square_wave,
@@ -98,7 +99,7 @@ def _in_parts(run, items) -> list:
     reaches the caller after the pool has joined."""
     from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
     items = list(items)
-    n = max(1, min(detect._usable_cpus(), len(items)))
+    n = max(1, min(_usable_cpus(), len(items)))
     parts = [items[k * len(items) // n : (k + 1) * len(items) // n] for k in range(n)]
     with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
         futures = [pool.submit(run, part) for part in parts[1:]]

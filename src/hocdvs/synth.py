@@ -33,10 +33,15 @@ matrix in memory is bit for bit the matrix that `simulate` writes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import math
 import numbers
+import os
+import queue
 import re
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -64,6 +69,23 @@ TRUNCATION_LIMIT = 3.46
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # bytes per row block of the range check (at least one row)
 _RANGE_BLOCK_BYTES = 1 << 20
+# Bytes worth a thread: simulate's draw-ahead thread, analyze's digest thread and _blockwise's
+# helpers start only for this much float32 or more (the trace-scale matrix is 600 KB); below,
+# a thread costs more
+_THREAD_MIN_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+def _helper_threads(payload_bytes: int, parts: int) -> int:
+    """Threads worth starting beside the calling thread for `parts` pieces of work on a
+    float32 payload of payload_bytes: one per further usable CPU up to one per further
+    part, and none below _THREAD_MIN_BYTES."""
+    return min(_usable_cpus(), parts) - 1 if payload_bytes >= _THREAD_MIN_BYTES else 0
 
 
 def _finite_positive(value: float) -> bool:
@@ -305,8 +327,10 @@ def _changed_columns(cfg: SimConfig, other: SimConfig) -> slice:
 def _trace_rows(cfg: SimConfig, rows_per_chunk: int, draws=None, cols=None):
     """Yield the trace matrix, or its columns cols (a slice that holds the event span), in
     fresh float32 chunks of rows_per_chunk traces (the last may be shorter), from draws, or
-    without them from _draws(cfg) with the noise drawn chunk by chunk. Each chunk is computed
-    in float64, checked against the float32 range, then cast."""
+    without them from _draws(cfg) with the noise drawn chunk by chunk, the next chunk on a
+    worker thread (_drawn_ahead) when _helper_threads allows one for the float32 payload and
+    its chunks. Each chunk is computed in float64, checked against the float32 range, then
+    cast."""
     baseline, sop, noise = _draws(cfg) if draws is None else draws
     m, w, pw, p = cfg.fiber_points, cfg.num_traces, cfg.pulse_width_points, cfg.vibration_point
     cols = slice(0, m) if cols is None else cols
@@ -321,24 +345,66 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int, draws=None, cols=None):
     # scale) was bit-identical but page-faulted afresh: 110,800 minor faults per 200
     # trace-scale matrices against 0, and 4.4-5.1 against 3.5-4.1 ms each, on one CPU.
     clean_rows = max(1, (1 << 15) // baseline.size)
-    for start in range(0, w, rows_per_chunk):
-        n = min(rows_per_chunk, w - start)
-        with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
-            if draws is None:
-                chunk = noise.standard_normal((n, m))[:, cols]
-                chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
-            else:  # a fresh product, so the shared normals stay unscaled
-                chunk = noise[start : start + n, cols] * cfg.noise_sigma
-            for first in range(0, n, clean_rows):
-                rows = slice(start + first, start + min(first + clean_rows, n))
-                clean = sop[rows, None] * baseline
-                clean[:, lo:hi] = sop[rows, None] * (
-                    baseline[lo:hi] + event_amplitude * kernel * drive[rows, None]
-                )
-                chunk[first : first + clean_rows] += clean  # = clean + noise, bit for bit
-        if not _in_float32_range(chunk):
-            raise ConfigError("config drives amplitudes beyond the float32 range of trace files")
-        yield chunk.astype(np.float32)
+    starts = range(0, w, rows_per_chunk)
+    if draws is not None:
+        normals = (noise[start : min(start + rows_per_chunk, w)] for start in starts)
+    else:
+        sizes = (min(rows_per_chunk, w - start) for start in starts)
+        if _helper_threads(4 * w * baseline.size, len(starts)):
+            normals = _drawn_ahead(noise, m, sizes)
+        else:
+            normals = (noise.standard_normal((n, m)) for n in sizes)
+    with contextlib.closing(normals):  # joins a draw-ahead thread on every exit
+        for start, normal in zip(starts, normals):
+            n = len(normal)
+            with np.errstate(over="ignore", invalid="ignore"):  # the range check reports it
+                if draws is None:
+                    chunk = normal[:, cols]
+                    chunk *= cfg.noise_sigma  # bit for bit what rng.normal(0, sigma) would draw
+                else:  # a fresh product, so the shared normals stay unscaled
+                    chunk = normal[:, cols] * cfg.noise_sigma
+                for first in range(0, n, clean_rows):
+                    rows = slice(start + first, start + min(first + clean_rows, n))
+                    clean = sop[rows, None] * baseline
+                    clean[:, lo:hi] = sop[rows, None] * (
+                        baseline[lo:hi] + event_amplitude * kernel * drive[rows, None]
+                    )
+                    chunk[first : first + clean_rows] += clean  # = clean + noise, bit for bit
+            if not _in_float32_range(chunk):
+                raise ConfigError("config drives amplitudes beyond the float32 range of trace "
+                                  "files")
+            yield chunk.astype(np.float32)
+
+
+def _drawn_ahead(rng, m: int, sizes):
+    """Yield rng.standard_normal((n, m)) for each n of sizes (one or more), in order, drawn
+    on one worker thread. Taking a chunk asks for the one after it, so the worker draws that
+    one while the caller finishes this one, with no wait for a handoff: one chunk more is
+    held, and the draws are the same. The worker calls numpy only (perfbench's tracer keeps
+    one span stack); its error is raised here, and closing the generator stops and joins it."""
+    asks, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw_ahead():
+        try:
+            while (n := asks.get()) is not None:
+                drawn.put(rng.standard_normal((n, m)))
+        except BaseException as exc:  # raised on the calling thread
+            drawn.put(exc)
+
+    sizes = iter(sizes)
+    asks.put(next(sizes))
+    worker = threading.Thread(target=draw_ahead)
+    worker.start()
+    try:
+        for n in itertools.chain(sizes, [None]):
+            asks.put(n)  # the chunk after the one taken next, or None to stop after the last
+            normals = drawn.get()
+            if isinstance(normals, BaseException):
+                raise normals
+            yield normals
+    finally:
+        asks.put(None)
+        worker.join()
 
 
 # --- plain-text config files ---------------------------------------------------

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,6 +33,7 @@ from hocdvs import (
     locate_peak,
     location_snr,
     moving_average_profile,
+    synth,
     synth_traces,
     third_cumulant_lagged,
     third_cumulant_zero_lag,
@@ -64,6 +67,19 @@ def config_file(tmp_path):
         return path
 
     return write
+
+
+@pytest.fixture
+def made_threads(monkeypatch):
+    """The name of each thread target made, in order."""
+    made, thread = [], threading.Thread
+
+    def recorded(*args, target=None, **kwargs):
+        made.append(target.__name__)
+        return thread(*args, target=target, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", recorded)
+    return made
 
 
 class TestSimulate:
@@ -196,6 +212,119 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: request does not fit in memory (Unable")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestSimulateDrawAhead:
+    """A payload of at least synth._THREAD_MIN_BYTES in two or more chunks, on two or
+    more usable CPUs, has each next chunk's normals drawn on one worker thread while
+    the current chunk is finished and written."""
+
+    @pytest.fixture(autouse=True)
+    def two_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def long_config(self, config_file):
+        """The golden `long` case: 100 x 9000, a 3.6 MB payload in chunks of 14 rows."""
+        return lambda **overrides: config_file(fiber_points=9000, **overrides)
+
+    def fails(self, config, out, code, monkeypatch):
+        """simulate's one stderr line after it exits with code, leaving no file. The worker
+        is joined before the line is written, not when the exception is dropped."""
+        threads, seen = threading.active_count(), []
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                seen.append(threading.active_count())
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        assert seen and set(seen) == {threads}
+        assert threading.active_count() == threads
+        assert not out.exists()
+        err = sys.stderr.getvalue()
+        assert err.count("\n") == 1
+        return err
+
+    def test_file_does_not_depend_on_the_usable_cpus(self, tmp_path, long_config, monkeypatch,
+                                                      made_threads):
+        ref = tmp_path / "ref.hocdvs"
+        write_traces(ref, synth_traces(trace_config(0.2, 0, fiber_points=9000)))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(synth, "_usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}.hocdvs"
+            assert main(["simulate", "--config", str(long_config()), "--out", str(out)]) == 0
+            assert out.read_bytes() == ref.read_bytes(), cpus
+        assert made_threads == ["draw_ahead", "draw_ahead"]
+
+    def test_enospc_on_the_second_chunk_exits_4(self, tmp_path, long_config, monkeypatch,
+                                                made_threads):
+        real_open, written = open, []
+
+        def opened(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            if mode == "wb":
+                def write(data):
+                    if len(written) == 2:  # the header, then the first chunk
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    written.append(memoryview(data).nbytes)
+                    return type(fh).write(fh, data)
+
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(io_formats, "open", opened, raising=False)
+        err = self.fails(long_config(), tmp_path / "x.hocdvs", EXIT_IO, monkeypatch)
+        assert "No space left on device" in err
+        assert written == [HEADER_SIZE, 14 * 9000 * 4]
+        assert made_threads == ["draw_ahead"]
+
+    def test_float32_overflow_exits_2(self, tmp_path, long_config, monkeypatch, made_threads):
+        err = self.fails(long_config(noise_sigma=1.0e39), tmp_path / "x.hocdvs", EXIT_CONFIG,
+                         monkeypatch)
+        assert err == ("config error: config drives amplitudes beyond the float32 range "
+                       "of trace files\n")
+        assert made_threads == ["draw_ahead"]
+
+    def test_memory_error_in_the_worker_exits_2(self, tmp_path, long_config, monkeypatch):
+        real_draws, drawn_on = synth._draws, []
+
+        class SecondDrawFails:
+            """A random generator whose second standard_normal draw cannot be allocated."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                drawn_on.append(threading.current_thread())
+                if len(drawn_on) == 2:
+                    raise MemoryError("Unable to allocate 984. KiB for an array with shape "
+                                      "(14, 9000) and data type float64")
+                return self.rng.standard_normal(shape)
+
+        def draws(cfg, rows=None):
+            baseline, sop, rng = real_draws(cfg, rows)
+            return baseline, sop, SecondDrawFails(rng)
+
+        monkeypatch.setattr(synth, "_draws", draws)
+        err = self.fails(long_config(), tmp_path / "x.hocdvs", EXIT_CONFIG, monkeypatch)
+        assert err.startswith("config error: request does not fit in memory (Unable")
+        assert len(drawn_on) == 2 and drawn_on[1] is not threading.current_thread()
+
+    def test_trace_scale_starts_no_thread(self, tmp_path, config_file, long_config,
+                                          monkeypatch):
+        # 1500 x 100 is 600 KB of float32 in two chunks (87 + 13 rows)
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "trace.hocdvs"
+        assert main(["simulate", "--config", str(config_file(seed=3)), "--out", str(out)]) == 0
+        assert out.stat().st_size == HEADER_SIZE + 100 * 1500 * 4
+        with pytest.raises(AssertionError, match="^a thread was started$"):
+            main(["simulate", "--config", str(long_config()), "--out", str(out)])
         assert not out.exists()
 
 
@@ -382,7 +511,7 @@ class TestAnalyze:
 
 
 class TestAnalyzeLargePayload:
-    """A payload of at least detect._THREAD_MIN_BYTES is read in row chunks that
+    """A payload of at least synth._THREAD_MIN_BYTES is read in row chunks that
     are hashed on one digest thread as they land, and a profile over rows that
     large shares its column blocks with one helper per further usable CPU."""
 
@@ -390,19 +519,7 @@ class TestAnalyzeLargePayload:
 
     @pytest.fixture(autouse=True)
     def two_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(detect, "_usable_cpus", lambda: 2)
-
-    @pytest.fixture
-    def made_threads(self, monkeypatch):
-        """The name of each thread target made, in order."""
-        made, thread = [], threading.Thread
-
-        def recorded(*args, target=None, **kwargs):
-            made.append(target.__name__)
-            return thread(*args, target=target, **kwargs)
-
-        monkeypatch.setattr(threading, "Thread", recorded)
-        return made
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
 
     @pytest.fixture
     def large_trace_file(self, tmp_path, config_file):
@@ -413,7 +530,7 @@ class TestAnalyzeLargePayload:
         payload = out.stat().st_size - HEADER_SIZE
         assert payload > 3 * io_formats._READ_CHUNK_BYTES
         assert 2100 > 4 * detect.BLOCK_POINTS
-        assert payload // 2 >= detect._THREAD_MIN_BYTES  # window 200 reduces half the rows
+        assert payload // 2 >= synth._THREAD_MIN_BYTES  # window 200 reduces half the rows
         return out
 
     @staticmethod
@@ -522,12 +639,12 @@ class TestAnalyzeLargePayload:
         settings = f"|method={METHOD_ALIASES[method]}|window=200|guard=30|avg_len=5"
         expected = hashlib.sha256(large_trace_file.read_bytes() + settings.encode()).hexdigest()
         with monkeypatch.context() as one_cpu:
-            one_cpu.setattr(detect, "_usable_cpus", lambda: 1)
+            one_cpu.setattr(synth, "_usable_cpus", lambda: 1)
             inline = self.outputs(large_trace_file, tmp_path / "one", capsys, method)
         assert made_threads == []
         assert json.loads(inline[2])["config_digest"] == expected
         # three helpers, the digest thread and the caller: more threads than a small host has CPUs
-        monkeypatch.setattr(detect, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads often
         try:
@@ -559,7 +676,7 @@ class TestAnalyzeLargePayload:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was made on one usable CPU")
 
-        monkeypatch.setattr(detect, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(hashlib, "sha256", Recorded)
         monkeypatch.setattr(threading, "Thread", no_thread)
         threads = threading.active_count()

@@ -23,7 +23,7 @@ from hocdvs import (
     synth_traces,
     third_cumulant_zero_lag,
 )
-from hocdvs import detect
+from hocdvs import detect, synth
 from hocdvs.errors import ConfigError, NoDetectionError, NoEdgeError
 from hocdvs.detect import BLOCK_POINTS
 from hocdvs.experiments import (
@@ -261,9 +261,9 @@ class TestColumnSubsetProfile:
     ])
     def test_profile_of_columns_is_those_columns_of_the_full_profile(
             self, monkeypatch, point, num_traces, cpus, helpers, span):
-        monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        monkeypatch.setattr(detect.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: cpus)
         first_cfg = trace_config(0.1, 21, vibration_point=point, num_traces=num_traces)
         cfg = trace_config(0.3, 21, vibration_point=point, num_traces=num_traces)
         cols = _changed_columns(cfg, first_cfg)

@@ -244,9 +244,9 @@ def test_localization_sweep_rows():
 
 
 def _set_usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(detect.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    monkeypatch.setattr(detect.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hocdvs import cli, detect, experiments
+from hocdvs import cli, experiments, synth
 from hocdvs.synth import format_sim_config
 
 MANIFEST = Path(__file__).with_name("golden_outputs.json")
@@ -29,8 +29,9 @@ MANIFEST = Path(__file__).with_name("golden_outputs.json")
 # Each simulated file: overrides of trace_config(0.2, 0), then its analyze runs as
 # (method alias, window). "large" is 300 x 1500 float32, over 1 MiB, so the digest
 # thread and the profile helpers run; its event at 512 lies across a profile block edge.
-# "long" is 100 x 9000: its 3.6 MB payload spans four range-check blocks, and each
-# profile CSV spans three write pieces (4096 + 4096 + 808 rows).
+# "long" is 100 x 9000: its 3.6 MB payload spans four range-check blocks, simulate draws
+# its eight chunks' normals one chunk ahead on a second usable CPU, and each profile CSV
+# spans three write pieces (4096 + 4096 + 808 rows).
 SIMULATIONS = {
     "trace": ({}, [("hoc", 100), ("mdiff", 100), ("mavg", 100), ("hoc", 50)]),
     "large": ({"num_traces": 300, "vibration_point": 512},
@@ -92,16 +93,24 @@ def test_every_output_matches_the_golden_manifest(tmp_path):
 
 
 def test_sweeps_on_one_usable_cpu_match_the_golden_manifest(tmp_path, monkeypatch):
-    # fig1 and e2e split their seeds over the usable CPUs; on one CPU each runs whole
-    monkeypatch.setattr(detect, "_usable_cpus", lambda: 1)
+    # fig1 and e2e split their seeds over the usable CPUs, and simulate draws the "long"
+    # case's normals a chunk ahead on a second one; on one CPU each runs whole
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
     cases = {"fig1_asymmetry": ("fig1_asymmetry", None),
              "e2e_localization": ("e2e_localization", None),
              "e2e_seeds_3_0_2_49_7": ("e2e_localization", [3, 0, 2, 49, 7])}
     for case, (preset, seeds) in cases.items():
         experiments.run_preset(preset, tmp_path / case, seeds)
+    case = tmp_path / "long"
+    case.mkdir()
+    (case / "run.cfg").write_text(format_sim_config(
+        experiments.trace_config(0.2, 0, **SIMULATIONS["long"][0])))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", str(case / "run.cfg"),
+                         "--out", str(case / "run.hocdvs")]) == 0
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     golden = {name: digest for name, digest in manifest["files"].items()
-              if name.partition("/")[0] in cases}
+              if name.partition("/")[0] in cases or name in ("long/run.cfg", "long/run.hocdvs")}
     _assert_golden(golden, _file_digests(tmp_path), manifest["numpy"])
 
 

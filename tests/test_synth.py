@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -309,6 +310,33 @@ class TestSynthTraces:
         cfg = trace_config(0.3, seed=9)
         expected = full_matrix_amplitudes(cfg).tobytes()
         assert np.concatenate(list(_trace_rows(cfg, rows_per_chunk))).tobytes() == expected
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, TRACE_COUNT])
+    def test_draw_ahead_chunks_equal_the_inline_chunks(self, monkeypatch, rows_per_chunk):
+        # with the threshold lowered, a trace-scale matrix of two or more chunks has its
+        # normals drawn on a worker thread; one chunk draws inline
+        cfg = trace_config(0.3, seed=9)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
+        inline = [chunk.tobytes() for chunk in _trace_rows(cfg, rows_per_chunk)]
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(synth, "_THREAD_MIN_BYTES", 4)
+        made, thread = [], threading.Thread
+        monkeypatch.setattr(threading, "Thread",
+                            lambda **kw: made.append(kw["target"].__name__) or thread(**kw))
+        threads = threading.active_count()
+        assert [chunk.tobytes() for chunk in _trace_rows(cfg, rows_per_chunk)] == inline
+        assert threading.active_count() == threads
+        assert made == (["draw_ahead"] if rows_per_chunk < cfg.num_traces else [])
+
+    def test_closing_the_rows_joins_the_draw_ahead_thread(self, monkeypatch):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(synth, "_THREAD_MIN_BYTES", 4)
+        threads = threading.active_count()
+        rows = _trace_rows(trace_config(0.3, seed=9), 7)
+        next(rows)
+        assert threading.active_count() == threads + 1
+        rows.close()
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("seed", [0, 13, 50])
     def test_shared_draws_give_each_duty_the_matrix_it_draws_itself(self, seed):
