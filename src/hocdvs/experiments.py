@@ -339,7 +339,8 @@ def _fmt(value: float) -> str:
 
 def _write_csv(out_dir: Path, preset: str, lines) -> Path:
     path = out_dir / f"{preset}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with io_formats._written(path, "preset CSV") as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -347,7 +348,8 @@ def _write_meta(out_dir: Path, preset: str, seeds, meta: dict) -> Path:
     """run_meta.json: the preset's name, its seed list and its settings."""
     meta = {"preset": preset, "seeds": list(seeds), **meta}
     path = out_dir / "run_meta.json"
-    path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with io_formats._written(path, "run metadata") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return path
 
 

@@ -15,8 +15,8 @@ Trace file layout (little-endian throughout):
 Amplitudes are stored as float32: acquisition hardware is 8-14 bit, so
 single precision loses nothing while halving file size; every TraceMatrix
 holds float32. Metadata stays float64. The payload is written in row
-chunks, a profile CSV in pieces of rows; a failed write of any file leaves
-no file.
+chunks, a profile CSV in pieces of rows. Every file is rewritten in place
+and trimmed to its length; a failed write of any file leaves no file.
 """
 
 from __future__ import annotations
@@ -71,20 +71,36 @@ def write_trace_rows(path, shape, meters_per_point, trace_rate_hz, chunks) -> No
 
 @contextlib.contextmanager
 def _written(path, what: str, binary: bool = False):
-    """Yield path open for writing (text as UTF-8, \\n newlines). A failure removes the
-    file if fstat shows a regular file, so /dev/null stays, and is re-raised (OSError
-    as PersistenceError)."""
+    """Yield path open for writing (text as UTF-8, \\n newlines), rewritten in place.
+
+    An existing file is opened without O_TRUNC, as a truncate-then-rewrite of a
+    file makes ext4 free its blocks and start its writeback at close; once every
+    write is flushed, a regular file is trimmed to the written length. A failure
+    empties and removes the file written, the target of a symlink path, if fstat
+    shows a regular file, so /dev/null stays; it is re-raised (OSError as
+    PersistenceError)."""
+    mode, text = ("wb", {}) if binary else ("w", {"encoding": "utf-8", "newline": "\n"})
     try:
-        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, mode, opener=_open_in_place, **text) as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             try:
                 yield fh
                 fh.flush()
+                if regular:
+                    fh.truncate()
             except BaseException:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    os.unlink(path)
+                if regular:
+                    with contextlib.suppress(OSError):
+                        fh.flush()  # so closing writes nothing after the truncation
+                    os.ftruncate(fh.fileno(), 0)  # no hard link reads old and new bytes
+                    os.unlink(os.path.realpath(path))
                 raise
     except OSError as exc:
         raise PersistenceError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _open_in_place(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _header_bytes(shape, meters_per_point, trace_rate_hz) -> bytes:

@@ -796,6 +796,31 @@ class TestExperiment:
         assert capsys.readouterr().err == ""
         assert not caught
 
+    @pytest.mark.parametrize("name, what", [("fig1_asymmetry.csv", "preset CSV"),
+                                            ("run_meta.json", "run metadata")])
+    def test_enospc_exits_4_and_leaves_no_file(self, tmp_path, capsys, monkeypatch, name,
+                                               what):
+        real_open = open
+
+        def opened(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            if mode == "w" and Path(path).name == name:
+                def write(text):
+                    type(fh).write(fh, text[: len(text) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(io_formats, "open", opened, raising=False)
+        code = main(["experiment", "--preset", "fig1_asymmetry", "--out", str(tmp_path),
+                     "--seeds", "0..1"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (f"i/o error: cannot write {what} to "
+                                           f"{tmp_path / name}: [Errno 28] No space left on "
+                                           "device\n")
+        assert not (tmp_path / name).exists()
+
     def test_unknown_preset_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9_unknown", "--out", str(tmp_path)])

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -48,17 +49,22 @@ def _run_outputs(root: Path) -> None:
     assert cli.main(["experiment", "--preset", "e2e_localization",
                      "--out", str(root / "e2e_seeds_50_99"), "--seeds", "50..99"]) == 0
     experiments.run_preset("e2e_localization", root / "e2e_seeds_3_0_2_49_7", [3, 0, 2, 49, 7])
-    for name, (overrides, analyses) in SIMULATIONS.items():
-        case = root / name
-        case.mkdir()
-        config = case / "run.cfg"
-        config.write_text(format_sim_config(experiments.trace_config(0.2, 0, **overrides)))
-        traces = case / "run.hocdvs"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(traces)]) == 0
-        for method, window in analyses:
-            out = case / f"{method}_w{window}"
-            assert cli.main(["analyze", "--traces", str(traces), "--method", method,
-                             "--window", str(window), "--out", str(out)]) == 0
+    for name in SIMULATIONS:
+        _run_case(root / name, name)
+
+
+def _run_case(case: Path, name: str) -> None:
+    """Write one SIMULATIONS case's config, trace file and analyses under case."""
+    overrides, analyses = SIMULATIONS[name]
+    case.mkdir(exist_ok=True)
+    config = case / "run.cfg"
+    config.write_text(format_sim_config(experiments.trace_config(0.2, 0, **overrides)))
+    traces = case / "run.hocdvs"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(traces)]) == 0
+    for method, window in analyses:
+        out = case / f"{method}_w{window}"
+        assert cli.main(["analyze", "--traces", str(traces), "--method", method,
+                         "--window", str(window), "--out", str(out)]) == 0
 
 
 def _file_digests(root: Path) -> dict[str, str]:
@@ -111,6 +117,32 @@ def test_sweeps_on_one_usable_cpu_match_the_golden_manifest(tmp_path, monkeypatc
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     golden = {name: digest for name, digest in manifest["files"].items()
               if name.partition("/")[0] in cases or name in ("long/run.cfg", "long/run.hocdvs")}
+    _assert_golden(golden, _file_digests(tmp_path), manifest["numpy"])
+
+
+def test_trace_scale_cases_rewritten_over_long_outputs_match_the_golden_manifest(tmp_path):
+    # each trace-scale case first holds the "long" case's outputs, all longer, at its paths
+    with contextlib.redirect_stdout(io.StringIO()):
+        _run_case(tmp_path / "long", "long")
+        cases = [name for name in SIMULATIONS if name != "long"]
+        for name in cases:
+            case = tmp_path / name
+            case.mkdir()
+            shutil.copy(tmp_path / "long" / "run.hocdvs", case / "run.hocdvs")
+            for method, window in SIMULATIONS[name][1]:
+                shutil.copytree(tmp_path / "long" / f"{method}_w100",
+                                case / f"{method}_w{window}")
+            before = {path: path.stat() for path in case.rglob("*")}
+            assert len(before) == 1 + 3 * len(SIMULATIONS[name][1])  # a trace file, then dirs
+            _run_case(case, name)
+            for path, old in before.items():
+                assert path.stat().st_ino == old.st_ino, path
+                if path.suffix in (".hocdvs", ".csv"):
+                    assert path.stat().st_size < old.st_size, path
+    shutil.rmtree(tmp_path / "long")
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    golden = {name: digest for name, digest in manifest["files"].items()
+              if name.partition("/")[0] in cases}
     _assert_golden(golden, _file_digests(tmp_path), manifest["numpy"])
 
 

@@ -1,6 +1,8 @@
 import errno
 import json
+import os
 import re
+import stat
 import struct
 import tracemalloc
 from unittest import mock
@@ -23,7 +25,7 @@ from hocdvs import (
 from hocdvs.detect import METHOD_MOVING_DIFFERENTIAL
 from hocdvs.errors import ConfigError, PersistenceError
 from hocdvs.cli import main
-from hocdvs.experiments import trace_config
+from hocdvs.experiments import run_preset, trace_config
 from hocdvs import io_formats
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
 from hocdvs.synth import format_sim_config
@@ -435,3 +437,120 @@ class TestReportJson:
         write_report_json(a, self.make_report(), window=100, config_digest="d")
         write_report_json(b, self.make_report(), window=100, config_digest="d")
         assert a.read_bytes() == b.read_bytes()
+
+
+def _write_trace_file(path, size):
+    write_traces(path, small_matrix(np.arange(size * 7.0).reshape(size, 7) - 3.5))
+
+
+def _write_profile(path, size):
+    export_profile_csv(HocProfile(np.linspace(-1.0, 1.0, size), 0.5), path)
+
+
+def _write_report(path, size):
+    report = DetectionReport(peak_index=size, peak_position_m=size * 0.5, location_snr_db=12.5,
+                             spatial_resolution_m=None, method=METHOD_MOVING_DIFFERENTIAL)
+    write_report_json(path, report, window=size, config_digest="d" * size)
+
+
+# Each io_formats writer as (file name, write(path, size)); a larger size writes a longer file.
+WRITERS = {
+    "traces": ("t.hocdvs", _write_trace_file),
+    "profile": ("p.csv", _write_profile),
+    "report": ("r.json", _write_report),
+}
+
+
+class TestRewriteInPlace:
+    """Every writer rewrites an existing file in place, trims it to the written length,
+    and on failure empties and removes the file it wrote."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_rewrite_over_a_longer_file_trims_it_in_place(self, tmp_path, writer):
+        name, write = WRITERS[writer]
+        fresh, path, link = tmp_path / f"fresh_{name}", tmp_path / name, tmp_path / "link"
+        write(fresh, 3)
+        write(path, 9000)
+        os.link(path, link)
+        inode, longer = path.stat().st_ino, path.stat().st_size
+        write(path, 3)
+        assert path.read_bytes() == link.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_ino == inode and path.stat().st_size < longer
+
+    def test_trace_file_of_a_smaller_config_reads_back_exactly(self, tmp_path):
+        path = tmp_path / "run.hocdvs"
+        _write_trace_file(path, 500)
+        src = small_matrix(np.arange(12.0).reshape(3, 4), mpp=0.25, rate=2000.0)
+        write_traces(path, src)
+        out = read_traces(path)
+        assert out.amplitudes.tobytes() == src.amplitudes.tobytes()
+        assert (out.meters_per_point, out.trace_rate_hz) == (0.25, 2000.0)
+
+    def test_preset_rerun_over_longer_outputs_trims_them_in_place(self, tmp_path):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        names = ["fig1_asymmetry.csv", "run_meta.json"]
+        run_preset("fig1_asymmetry", fresh, seeds=[0, 1])
+        out.mkdir()
+        inodes = {}
+        for name in names:
+            (out / name).write_bytes((fresh / name).read_bytes() + b"9" * 100_000)
+            os.link(out / name, tmp_path / f"link_{name}")
+            inodes[name] = (out / name).stat().st_ino
+        run_preset("fig1_asymmetry", out, seeds=[0, 1])
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+            assert (tmp_path / f"link_{name}").read_bytes() == (fresh / name).read_bytes()
+            assert (out / name).stat().st_ino == inodes[name]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_dev_null_is_a_target(self, writer):
+        WRITERS[writer][1](os.devnull, 9000)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_dev_null_is_a_preset_target_through_a_symlink(self, tmp_path):
+        for name in ("fig1_asymmetry.csv", "run_meta.json"):
+            (tmp_path / name).symlink_to(os.devnull)
+        run_preset("fig1_asymmetry", tmp_path, seeds=[0])
+        assert stat.S_ISCHR(os.stat(tmp_path / "run_meta.json").st_mode)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_through_a_symlink_empties_and_removes_the_target(
+            self, tmp_path, monkeypatch, writer):
+        name, write = WRITERS[writer]
+        target, link, hard = tmp_path / name, tmp_path / "link", tmp_path / "hard"
+        write(target, 9000)
+        link.symlink_to(target)
+        os.link(target, hard)
+        if writer == "traces":
+            def chunks():
+                yield np.ones((2, 3))  # still buffered when the next chunk fails
+                raise ConfigError("chunk failed")
+
+            with pytest.raises(ConfigError, match="chunk failed"):
+                write_trace_rows(link, (4, 3), 1.0, 10000.0, chunks())
+        else:
+            fail_text_write(monkeypatch, failing=3)
+            with pytest.raises(PersistenceError, match=f"cannot write {writer} to .*No space"):
+                write(link, 9000)
+        assert not target.exists() and link.is_symlink()
+        assert hard.read_bytes() == b""
+
+    def test_no_writer_opens_with_o_trunc(self, tmp_path, monkeypatch):
+        """Truncating on open makes ext4 free a rewritten file's blocks and write it
+        back at close; each writer opens once, creating, never truncating."""
+        real_open, flags = os.open, {}
+
+        def spied(path, mode_flags, *args, **kwargs):
+            if os.path.dirname(path) == str(tmp_path):
+                flags.setdefault(os.path.basename(path), []).append(mode_flags)
+            return real_open(path, mode_flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spied)
+        for name, write in WRITERS.values():
+            write(tmp_path / name, 3)
+        run_preset("fig1_asymmetry", tmp_path, seeds=[0])
+        names = [name for name, _ in WRITERS.values()] + ["fig1_asymmetry.csv", "run_meta.json"]
+        assert sorted(flags) == sorted(names)
+        for name in names:
+            [opened] = flags[name]
+            assert opened & os.O_CREAT and not opened & os.O_TRUNC, name
