@@ -12,9 +12,7 @@ import contextlib
 import functools
 import hashlib
 import math
-import queue
 import sys
-import threading
 from pathlib import Path
 
 from . import detect, experiments, io_formats
@@ -97,42 +95,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 class _TraceDigest:
     """The sha256 that read_traces feeds: the header on the calling thread, then
-    each payload chunk, queued as it lands to one thread when _helper_threads
-    allows one for the payload the header promises, hashed while the caller reads."""
+    each payload chunk, submitted as it lands to a one-worker pool when _helper_threads
+    allows one for the payload the header promises, hashed in file order while the
+    caller reads. The worker calls hashlib only (perfbench's tracer keeps one span stack)."""
 
     def __init__(self):
-        self.sha, self.chunks, self.worker, self.failures = hashlib.sha256(), None, None, []
+        self.sha, self.pool, self.hashed = hashlib.sha256(), None, None
 
     def update(self, data) -> None:
-        if self.worker is not None:
-            self.chunks.put(data)
+        if self.pool is not None:
+            self.hashed.append(self.pool.submit(self.sha.update, data))
             return
         self.sha.update(data)
-        if self.chunks is None:  # the header, which read_traces has checked
-            self.chunks = queue.SimpleQueue()
+        if self.hashed is None:  # the header, which read_traces has checked
+            self.hashed = []
             (num_traces, fiber_points), _, _ = io_formats._parse_header(data, "header")
             if _helper_threads(4 * num_traces * fiber_points, 2):  # reading and hashing
-                worker = threading.Thread(target=self._hash_chunks)
-                worker.start()
-                self.worker = worker
-
-    def _hash_chunks(self) -> None:  # hashlib only: perfbench's tracer keeps one span stack
-        try:
-            while (data := self.chunks.get()) is not None:
-                self.sha.update(data)
-        except BaseException as exc:  # raised on the calling thread after the join
-            self.failures.append(exc)
+                from concurrent.futures import ThreadPoolExecutor  # here: no pool for a small file
+                self.pool = ThreadPoolExecutor(1)
 
     def join(self) -> None:
-        """Wait for every queued chunk; later updates hash on the calling thread."""
-        if self.worker is not None:
-            self.chunks.put(None)
-            self.worker.join()
-            self.worker = None
+        """Wait for every submitted chunk; later updates hash on the calling thread."""
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     def hexdigest(self) -> str:
-        if self.failures:
-            raise self.failures[0]
+        for chunk in self.hashed:
+            chunk.result()  # raises the first failure of the worker
         return self.sha.hexdigest()
 
 

@@ -115,19 +115,20 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
     that `reduce` may overwrite; no full-size float64 copy is ever made.
 
     The calling thread and the helpers _helper_threads allows for those rows
-    and blocks (from 1 MiB of rows, one per further usable CPU) take the next
-    block start from one locked iterator. Each block's values depend on its
-    columns only, so the profile is the same whichever thread reduces a block.
-    A failure stops every part and is raised after the helpers are joined.
+    and blocks (from 1 MiB of rows, one per further usable CPU, on a pool) take
+    the next block start from one locked iterator. Each block's values depend on
+    its columns only, so the profile is the same whichever thread reduces a block.
+    A failure stops every part at its next block and is raised after the helpers
+    are joined.
     """
     amps, m = traces.amplitudes[:rows], traces.fiber_points
-    values, failures = np.empty(m), []
+    values, failed = np.empty(m), threading.Event()
     starts, lock = iter(range(0, m, BLOCK_POINTS)), threading.Lock()
 
     def part():  # numpy and `reduce` only: perfbench's tracer keeps one span stack
         try:
             buf = np.empty(rows * min(m, BLOCK_POINTS))
-            while not failures:  # a failed part stops the others at their next block
+            while not failed.is_set():  # a failed part stops the others at their next block
                 with lock:
                     start = next(starts, None)
                 if start is None:
@@ -136,22 +137,20 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
                 block = buf[: rows * min(BLOCK_POINTS, m - start)].reshape(rows, -1)
                 block[...] = amps[:, cols]
                 values[cols] = reduce(block)
-        except BaseException as exc:  # raised on the calling thread after the join
-            failures.append(exc)
+        except BaseException:
+            failed.set()
+            raise
 
-    blocks = -(-m // BLOCK_POINTS)
-    helpers = _helper_threads(amps.nbytes, blocks)
-    started = []
-    try:
-        for thread in [threading.Thread(target=part) for _ in range(helpers)]:
-            thread.start()
-            started.append(thread)
+    helpers = _helper_threads(amps.nbytes, -(-m // BLOCK_POINTS))
+    if not helpers:
         part()
-    finally:
-        for thread in started:
-            thread.join()
-    if failures:
-        raise failures[0]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: no pool for small rows
+        with ThreadPoolExecutor(helpers) as pool:  # leaving the block joins every helper
+            helped = [pool.submit(part) for _ in range(helpers)]
+            part()
+        for future in helped:
+            future.result()  # raises a helper's failure on the calling thread
     values.setflags(write=False)  # hand the fresh profile over without a copy
     return HocProfile(values, traces.meters_per_point)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detect, io_formats
+from . import detect, io_formats, synth
 from .errors import ConfigError, HocdvsError, NoEdgeError
 from .stats import mean_cube_axis0
 from .synth import (
@@ -31,7 +31,6 @@ from .synth import (
     _draws,
     _sim_config,
     _trace_rows,
-    _usable_cpus,
     asymmetrize,
     config_digest,
     gen_square_wave,
@@ -96,12 +95,15 @@ def _symmetric_base(seed: int) -> np.ndarray:
 def _in_parts(run, items) -> list:
     """run(part) over one contiguous part of items per usable CPU, its results joined in item
     order: the first part on the calling thread, the rest on a pool. A part's exception
-    reaches the caller after the pool has joined."""
-    from concurrent.futures import ThreadPoolExecutor  # here, so no CLI path imports it
+    reaches the caller after the pool has joined. The CPU count is read through the synth
+    module, so one patch of synth._usable_cpus reaches every path that starts a thread."""
     items = list(items)
-    n = max(1, min(_usable_cpus(), len(items)))
+    n = max(1, min(synth._usable_cpus(), len(items)))
+    if n == 1:
+        return run(items)
+    from concurrent.futures import ThreadPoolExecutor  # here: no pool for one part
     parts = [items[k * len(items) // n : (k + 1) * len(items) // n] for k in range(n)]
-    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # no thread starts before a submit
+    with ThreadPoolExecutor(n - 1) as pool:
         futures = [pool.submit(run, part) for part in parts[1:]]
         return run(parts[0]) + [result for future in futures for result in future.result()]
 

@@ -35,13 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import math
 import numbers
 import os
-import queue
 import re
-import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -378,33 +375,20 @@ def _trace_rows(cfg: SimConfig, rows_per_chunk: int, draws=None, cols=None):
 
 def _drawn_ahead(rng, m: int, sizes):
     """Yield rng.standard_normal((n, m)) for each n of sizes (one or more), in order, drawn
-    on one worker thread. Taking a chunk asks for the one after it, so the worker draws that
-    one while the caller finishes this one, with no wait for a handoff: one chunk more is
-    held, and the draws are the same. The worker calls numpy only (perfbench's tracer keeps
-    one span stack); its error is raised here, and closing the generator stops and joins it."""
-    asks, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def draw_ahead():
-        try:
-            while (n := asks.get()) is not None:
-                drawn.put(rng.standard_normal((n, m)))
-        except BaseException as exc:  # raised on the calling thread
-            drawn.put(exc)
-
+    on a one-worker pool. Once a chunk is taken, the next is submitted, so the worker draws
+    it while the caller finishes this one: one chunk more is held, and the draws are the
+    same. The worker calls numpy only (perfbench's tracer keeps one span stack). Taking a
+    chunk raises the worker's error before another draw is asked for, and closing the
+    generator joins the worker."""
+    from concurrent.futures import ThreadPoolExecutor  # here: no pool for a trace-scale matrix
     sizes = iter(sizes)
-    asks.put(next(sizes))
-    worker = threading.Thread(target=draw_ahead)
-    worker.start()
-    try:
-        for n in itertools.chain(sizes, [None]):
-            asks.put(n)  # the chunk after the one taken next, or None to stop after the last
-            normals = drawn.get()
-            if isinstance(normals, BaseException):
-                raise normals
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(rng.standard_normal, (next(sizes), m))
+        for n in sizes:
+            normals = ahead.result()
+            ahead = pool.submit(rng.standard_normal, (n, m))
             yield normals
-    finally:
-        asks.put(None)
-        worker.join()
+        yield ahead.result()
 
 
 # --- plain-text config files ---------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import io
@@ -8,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -67,19 +69,6 @@ def config_file(tmp_path):
         return path
 
     return write
-
-
-@pytest.fixture
-def made_threads(monkeypatch):
-    """The name of each thread target made, in order."""
-    made, thread = [], threading.Thread
-
-    def recorded(*args, target=None, **kwargs):
-        made.append(target.__name__)
-        return thread(*args, target=target, **kwargs)
-
-    monkeypatch.setattr(threading, "Thread", recorded)
-    return made
 
 
 class TestSimulate:
@@ -249,18 +238,24 @@ class TestSimulateDrawAhead:
         return err
 
     def test_file_does_not_depend_on_the_usable_cpus(self, tmp_path, long_config, monkeypatch,
-                                                      made_threads):
+                                                      started_threads, drawn_on):
         ref = tmp_path / "ref.hocdvs"
         write_traces(ref, synth_traces(trace_config(0.2, 0, fiber_points=9000)))
+        caller = threading.current_thread()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(synth, "_usable_cpus", lambda cpus=cpus: cpus)
             out = tmp_path / f"cpus{cpus}.hocdvs"
+            drawn_on.clear()
+            first = len(started_threads)
             assert main(["simulate", "--config", str(long_config()), "--out", str(out)]) == 0
             assert out.read_bytes() == ref.read_bytes(), cpus
-        assert made_threads == ["draw_ahead", "draw_ahead"]
+            # one worker from two CPUs on; it draws all eight chunks and is joined
+            workers = started_threads[first:]
+            assert len(workers) == (cpus > 1) and not any(t.is_alive() for t in workers)
+            assert drawn_on == (workers or [caller]) * 8
 
     def test_enospc_on_the_second_chunk_exits_4(self, tmp_path, long_config, monkeypatch,
-                                                made_threads):
+                                                started_threads, drawn_on):
         real_open, written = open, []
 
         def opened(path, mode="r", **kwargs):
@@ -279,14 +274,19 @@ class TestSimulateDrawAhead:
         err = self.fails(long_config(), tmp_path / "x.hocdvs", EXIT_IO, monkeypatch)
         assert "No space left on device" in err
         assert written == [HEADER_SIZE, 14 * 9000 * 4]
-        assert made_threads == ["draw_ahead"]
+        # the worker drew the third chunk while the second was written, then was joined
+        [worker] = started_threads
+        assert not worker.is_alive() and drawn_on == [worker] * 3
 
-    def test_float32_overflow_exits_2(self, tmp_path, long_config, monkeypatch, made_threads):
+    def test_float32_overflow_exits_2(self, tmp_path, long_config, monkeypatch,
+                                      started_threads, drawn_on):
         err = self.fails(long_config(noise_sigma=1.0e39), tmp_path / "x.hocdvs", EXIT_CONFIG,
                          monkeypatch)
         assert err == ("config error: config drives amplitudes beyond the float32 range "
                        "of trace files\n")
-        assert made_threads == ["draw_ahead"]
+        # the first chunk fails its range check while the worker draws the second
+        [worker] = started_threads
+        assert not worker.is_alive() and drawn_on == [worker] * 2
 
     def test_memory_error_in_the_worker_exits_2(self, tmp_path, long_config, monkeypatch):
         real_draws, drawn_on = synth._draws, []
@@ -533,6 +533,39 @@ class TestAnalyzeLargePayload:
         assert payload // 2 >= synth._THREAD_MIN_BYTES  # window 200 reduces half the rows
         return out
 
+    @pytest.fixture
+    def hashed_on(self, monkeypatch):
+        """The thread of each sha256 update, in order."""
+        threads, sha256 = [], hashlib.sha256
+
+        class Recorded:
+            def __init__(self, *data):
+                self.inner = sha256(*data)
+
+            def update(self, data):
+                threads.append(threading.current_thread())
+                self.inner.update(data)
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Recorded)
+        return threads
+
+    @pytest.fixture
+    def reduced_on(self, monkeypatch):
+        """The thread that reduces each profile block, in order."""
+        threads, blockwise = [], detect._blockwise
+
+        def recorded(traces, rows, reduce):
+            def recorded_reduce(block):
+                threads.append(threading.current_thread())
+                return reduce(block)
+            return blockwise(traces, rows, recorded_reduce)
+
+        monkeypatch.setattr(detect, "_blockwise", recorded)
+        return threads
+
     @staticmethod
     def analyze(trace_file, out_dir, method="hoc", window="200"):
         return main(["analyze", "--traces", str(trace_file), "--method", method,
@@ -547,24 +580,35 @@ class TestAnalyzeLargePayload:
 
     def test_window_exceeding_traces_exits_2_and_joins_the_worker(self, tmp_path,
                                                                   large_trace_file, capsys,
-                                                                  made_threads):
+                                                                  started_threads, hashed_on,
+                                                                  reduced_on):
+        started_threads.clear()  # simulate's, for the fixture's file
+        hashed_on.clear()
         threads = threading.active_count()
         assert self.analyze(large_trace_file, tmp_path / "w", window="401") == EXIT_CONFIG
-        assert made_threads == ["_hash_chunks"]
-        assert threading.active_count() == threads
+        [digest] = started_threads
+        assert not digest.is_alive() and threading.active_count() == threads
+        # the header on the caller, the four payload chunks on the digest worker; no profile
+        assert hashed_on == [threading.current_thread()] + [digest] * 4
+        assert reduced_on == []
         assert "window 401 exceeds" in capsys.readouterr().err
 
     def test_zero_background_exits_3_and_joins_every_thread(self, tmp_path, capsys,
-                                                            made_threads):
+                                                            started_threads, hashed_on,
+                                                            reduced_on):
         amps = np.zeros((400, 2100))
         amps[:, 1000] = 1.0
         amps[0, 1000] = 400.0
         path = tmp_path / "quiet.hocdvs"
         write_traces(path, TraceMatrix(amps, 1.0, 10000.0))
-        threads = threading.active_count()
+        threads, caller = threading.active_count(), threading.current_thread()
         assert self.analyze(path, tmp_path / "o", window="400") == EXIT_NO_DETECTION
-        assert made_threads == ["_hash_chunks", "part"]
+        digest, helper = started_threads
+        assert not digest.is_alive() and not helper.is_alive()
         assert threading.active_count() == threads
+        assert hashed_on == [caller] + [digest] * 4
+        # five column blocks, shared between the caller and the one helper
+        assert len(reduced_on) == 5 and set(reduced_on) <= {caller, helper}
         assert "background is exactly zero" in capsys.readouterr().err
 
     def test_short_payload_exits_4_and_leaves_no_thread(self, tmp_path, large_trace_file,
@@ -634,14 +678,17 @@ class TestAnalyzeLargePayload:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_digest_and_outputs_are_the_same_on_every_repeat(self, tmp_path, large_trace_file,
-                                                             capsys, monkeypatch, made_threads,
-                                                             method):
+                                                             capsys, monkeypatch, method,
+                                                             started_threads, hashed_on,
+                                                             reduced_on):
         settings = f"|method={METHOD_ALIASES[method]}|window=200|guard=30|avg_len=5"
         expected = hashlib.sha256(large_trace_file.read_bytes() + settings.encode()).hexdigest()
+        started_threads.clear()  # simulate's, for the fixture's file
+        caller = threading.current_thread()
         with monkeypatch.context() as one_cpu:
             one_cpu.setattr(synth, "_usable_cpus", lambda: 1)
             inline = self.outputs(large_trace_file, tmp_path / "one", capsys, method)
-        assert made_threads == []
+        assert started_threads == [] and set(reduced_on) == {caller}
         assert json.loads(inline[2])["config_digest"] == expected
         # three helpers, the digest thread and the caller: more threads than a small host has CPUs
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 4)
@@ -649,10 +696,20 @@ class TestAnalyzeLargePayload:
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads often
         try:
             for _ in range(20):
+                hashed_on.clear()
+                reduced_on.clear()
+                first = len(started_threads)
                 assert self.outputs(large_trace_file, tmp_path / "rep", capsys, method) == inline
+                digest, *helpers = started_threads[first:]
+                assert not any(thread.is_alive() for thread in started_threads[first:])
+                # the header and the settings on the caller, the four payload chunks on the
+                # digest worker
+                assert hashed_on == [caller] + [digest] * 4 + [caller]
+                # a pool starts a thread per submitted part until one of its threads is idle
+                assert 1 <= len(helpers) <= 3
+                assert len(reduced_on) == 5 and set(reduced_on) <= {caller, *helpers}
         finally:
             sys.setswitchinterval(interval)
-        assert made_threads == ["_hash_chunks", "part", "part", "part"] * 20
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_usable_cpu_makes_no_thread(self, tmp_path, large_trace_file, capsys,
@@ -847,6 +904,69 @@ def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_trace_scale_simulate_and_analyze_load_no_pool_and_start_no_thread(tmp_path):
+    """Each helper thread is only worth it from 1 MiB of float32, so a trace-scale simulate
+    and analyze with every method, on four usable CPUs, leave the pool unloaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import sys, threading
+        from hocdvs import synth
+        from hocdvs.cli import main
+
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        synth._usable_cpus = lambda: 4
+        threading.Thread.start = refuse
+        config, traces, out = sys.argv[1:]
+        assert main(["simulate", "--config", config, "--out", traces]) == 0
+        for method in ("hoc", "mdiff", "mavg"):
+            assert main(["analyze", "--traces", traces, "--method", method, "--window", "100",
+                         "--out", out]) == 0
+        print("concurrent.futures" in sys.modules, threading.active_count())
+    """)
+    config = tmp_path / "run.cfg"
+    config.write_text(format_sim_config(trace_config(0.2, 3)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "run.hocdvs"),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "False 1"
+
+
+def _imported_modules(node) -> list[str]:
+    """The absolute module names an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_every_helper_thread_runs_on_a_pool_imported_where_it_is_needed():
+    """Work beside the calling thread has one mechanism: a concurrent.futures pool, imported
+    in the function that starts it, so importing hocdvs loads none. No module imports queue,
+    makes a threading.Thread or imports concurrent.futures at module level."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), path.name)
+        in_functions = {id(node) for func in ast.walk(tree)
+                        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            roots = {name.partition(".")[0] for name in _imported_modules(node)}
+            assert "queue" not in roots, f"{where} imports queue"
+            assert "concurrent" not in roots or id(node) in in_functions, (
+                f"{where} imports concurrent.futures at module level")
+            assert not (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                        and isinstance(node.value, ast.Name) and node.value.id == "threading"), (
+                f"{where} makes a threading.Thread")
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "threading"
+                        and "Thread" in [alias.name for alias in node.names]), (
+                f"{where} imports threading.Thread")
 
 
 def _error_classes(cls):

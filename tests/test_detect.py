@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -221,6 +222,41 @@ class TestHocProfile:
         prof = hoc_profile(synth_traces(cfg), window=TRACE_WINDOW)
         idx, _ = locate_peak(prof)
         assert abs(idx - cfg.vibration_point) <= cfg.pulse_width_points // 2
+
+    def test_a_failure_on_the_calling_thread_stops_and_joins_the_helpers(self, monkeypatch,
+                                                                         started_threads):
+        # 200 x 3072 float32 is 2.4 MB in six blocks, so three usable CPUs give two helpers.
+        # The caller's first block fails once each helper holds a block; the helpers finish
+        # those and take no other. A long switch interval keeps the interpreter lock on the
+        # caller from its failure until its part has recorded it.
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
+        traces = matrix(np.random.default_rng(5).normal(size=(200, 6 * BLOCK_POINTS)))
+        caller, reduced = threading.current_thread(), []
+        holding, failing = threading.Semaphore(0), threading.Event()
+        mean_cube = detect._mean_cube_axis0
+
+        def reduce(block):
+            reduced.append(threading.current_thread())
+            if threading.current_thread() is not caller:
+                holding.release()
+                assert failing.wait(timeout=30)
+                return mean_cube(block)
+            assert holding.acquire(timeout=30) and holding.acquire(timeout=30)
+            failing.set()
+            raise RuntimeError("the caller's block failed")
+
+        monkeypatch.setattr(detect, "_mean_cube_axis0", reduce)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            with pytest.raises(RuntimeError, match="^the caller's block failed$"):
+                hoc_profile(traces, 200)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started_threads) == 2 and not any(t.is_alive() for t in started_threads)
+        assert threading.active_count() == threads
+        assert sorted(map(reduced.count, [caller, *started_threads])) == [1, 1, 1]
+        assert len(reduced) == 3
 
     def test_noise_only_has_no_systematic_peak(self):
         hits = []

@@ -219,6 +219,29 @@ def test_asymmetry_sweep_failure_in_a_pool_part_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_asymmetry_sweep_failure_in_the_callers_part_reaches_it_after_the_join(
+        monkeypatch, started_threads):
+    _set_usable_cpus(monkeypatch, 3)
+    symmetric_base, failing, finished = experiments._symmetric_base, threading.Event(), []
+
+    def first_seed_fails(seed):
+        if seed == 0:  # the first seed, in the caller's part
+            failing.set()
+            raise HocdvsError("seed 0 fails")
+        assert failing.wait(timeout=30)  # the pool's parts run on after the caller fails
+        base = symmetric_base(seed)
+        finished.append(seed)
+        return base
+
+    monkeypatch.setattr(experiments, "_symmetric_base", first_seed_fails)
+    threads = threading.active_count()
+    with pytest.raises(HocdvsError, match="^seed 0 fails$"):
+        asymmetry_sweep(range(6))
+    assert sorted(finished) == [2, 3, 4, 5]
+    assert len(started_threads) == 2 and not any(t.is_alive() for t in started_threads)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("sweep", [asymmetry_sweep, localization_sweep])
 def test_one_usable_cpu_submits_nothing_to_a_pool(monkeypatch, sweep):
     def refuse(self, *args, **kwargs):

@@ -21,6 +21,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hocdvs import cli, experiments, synth
 from hocdvs.synth import format_sim_config
@@ -98,15 +99,20 @@ def test_every_output_matches_the_golden_manifest(tmp_path):
     _assert_golden(manifest["files"], output_digests(tmp_path), manifest["numpy"])
 
 
-def test_sweeps_on_one_usable_cpu_match_the_golden_manifest(tmp_path, monkeypatch):
-    # fig1 and e2e split their seeds over the usable CPUs, and simulate draws the "long"
-    # case's normals a chunk ahead on a second one; on one CPU each runs whole
-    monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweeps_on_1_and_3_usable_cpus_match_the_golden_manifest(tmp_path, monkeypatch,
+                                                                 started_threads, cpus):
+    # fig1 and e2e split their seeds into one part per usable CPU, and simulate draws the
+    # "long" case's normals a chunk ahead on a second one; on one CPU each runs whole on
+    # the calling thread
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
     cases = {"fig1_asymmetry": ("fig1_asymmetry", None),
              "e2e_localization": ("e2e_localization", None),
              "e2e_seeds_3_0_2_49_7": ("e2e_localization", [3, 0, 2, 49, 7])}
     for case, (preset, seeds) in cases.items():
         experiments.run_preset(preset, tmp_path / case, seeds)
+    assert bool(started_threads) == (cpus > 1)
+    swept = len(started_threads)
     case = tmp_path / "long"
     case.mkdir()
     (case / "run.cfg").write_text(format_sim_config(
@@ -114,6 +120,8 @@ def test_sweeps_on_one_usable_cpu_match_the_golden_manifest(tmp_path, monkeypatc
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["simulate", "--config", str(case / "run.cfg"),
                          "--out", str(case / "run.hocdvs")]) == 0
+    assert len(started_threads) - swept == (cpus > 1)
+    assert not any(thread.is_alive() for thread in started_threads)
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     golden = {name: digest for name, digest in manifest["files"].items()
               if name.partition("/")[0] in cases or name in ("long/run.cfg", "long/run.hocdvs")}

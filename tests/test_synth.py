@@ -312,21 +312,24 @@ class TestSynthTraces:
         assert np.concatenate(list(_trace_rows(cfg, rows_per_chunk))).tobytes() == expected
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, TRACE_COUNT])
-    def test_draw_ahead_chunks_equal_the_inline_chunks(self, monkeypatch, rows_per_chunk):
+    def test_draw_ahead_chunks_equal_the_inline_chunks(self, monkeypatch, started_threads,
+                                                       drawn_on, rows_per_chunk):
         # with the threshold lowered, a trace-scale matrix of two or more chunks has its
         # normals drawn on a worker thread; one chunk draws inline
         cfg = trace_config(0.3, seed=9)
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 1)
         inline = [chunk.tobytes() for chunk in _trace_rows(cfg, rows_per_chunk)]
+        assert started_threads == []
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(synth, "_THREAD_MIN_BYTES", 4)
-        made, thread = [], threading.Thread
-        monkeypatch.setattr(threading, "Thread",
-                            lambda **kw: made.append(kw["target"].__name__) or thread(**kw))
+        drawn_on.clear()
         threads = threading.active_count()
         assert [chunk.tobytes() for chunk in _trace_rows(cfg, rows_per_chunk)] == inline
         assert threading.active_count() == threads
-        assert made == (["draw_ahead"] if rows_per_chunk < cfg.num_traces else [])
+        chunks = len(inline)
+        assert len(started_threads) == (chunks > 1)
+        assert not any(thread.is_alive() for thread in started_threads)
+        assert drawn_on == (started_threads or [threading.current_thread()]) * chunks
 
     def test_closing_the_rows_joins_the_draw_ahead_thread(self, monkeypatch):
         monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
