@@ -17,15 +17,12 @@ from pathlib import Path
 
 from . import detect, experiments, io_formats
 from .errors import ConfigError, HocdvsError, NoDetectionError, PersistenceError
-from .synth import _helper_threads, _trace_rows, config_digest, load_sim_config
+from .synth import _chunk_rows, _helper_threads, _trace_rows, config_digest, load_sim_config
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
 EXIT_NO_DETECTION = NoDetectionError.exit_code
 EXIT_IO = PersistenceError.exit_code
-
-# float64 bytes per chunk simulate synthesizes, then writes as float32 (at least one row)
-_CHUNK_BYTES = 1 << 20
 
 
 @functools.cache
@@ -83,7 +80,7 @@ def _parse_seed_range(text: str) -> range:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * cfg.fiber_points))
+    per_chunk = _chunk_rows(8 * cfg.fiber_points)  # synthesized in float64
     with contextlib.closing(_trace_rows(cfg, per_chunk)) as chunks:  # joins a draw-ahead thread
         io_formats.write_trace_rows(args.out, (cfg.num_traces, cfg.fiber_points),
                                     cfg.meters_per_point, cfg.trace_rate_hz, chunks)

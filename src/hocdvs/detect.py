@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, NoDetectionError, NoEdgeError
 from .stats import mean_cube_axis0 as _mean_cube_axis0  # private, so a tracer wraps no helper call
-from .synth import TraceMatrix, _finite_positive, _freeze, _helper_threads, _real_array
+from .synth import TraceMatrix, _finite_positive, _freeze, _helper_threads, _in_parts, _real_array
 
 __all__ = [
     "DetectionReport",
@@ -115,11 +115,11 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
     that `reduce` may overwrite; no full-size float64 copy is ever made.
 
     The calling thread and the helpers _helper_threads allows for those rows
-    and blocks (from 1 MiB of rows, one per further usable CPU, on a pool) take
-    the next block start from one locked iterator. Each block's values depend on
-    its columns only, so the profile is the same whichever thread reduces a block.
-    A failure stops every part at its next block and is raised after the helpers
-    are joined.
+    and blocks (from 1 MiB of rows, one per further usable CPU) each run one part
+    through synth._in_parts, and every part takes the next block start from one
+    locked iterator. Each block's values depend on its columns only, so the profile
+    is the same whichever thread reduces a block. A failure stops every part at its
+    next block and is raised after the helpers are joined.
     """
     amps, m = traces.amplitudes[:rows], traces.fiber_points
     values, failed = np.empty(m), threading.Event()
@@ -142,15 +142,7 @@ def _blockwise(traces: TraceMatrix, rows: int, reduce) -> HocProfile:
             raise
 
     helpers = _helper_threads(amps.nbytes, -(-m // BLOCK_POINTS))
-    if not helpers:
-        part()
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here: no pool for small rows
-        with ThreadPoolExecutor(helpers) as pool:  # leaving the block joins every helper
-            helped = [pool.submit(part) for _ in range(helpers)]
-            part()
-        for future in helped:
-            future.result()  # raises a helper's failure on the calling thread
+    _in_parts(lambda threads: [part() for _ in threads], range(helpers + 1))
     values.setflags(write=False)  # hand the fresh profile over without a copy
     return HocProfile(values, traces.meters_per_point)
 

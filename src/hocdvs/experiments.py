@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detect, io_formats, synth
+from . import detect, io_formats
 from .errors import ConfigError, HocdvsError, NoEdgeError
 from .stats import mean_cube_axis0
 from .synth import (
@@ -29,6 +29,7 @@ from .synth import (
     TraceMatrix,
     _changed_columns,
     _draws,
+    _in_parts,
     _sim_config,
     _trace_rows,
     asymmetrize,
@@ -90,22 +91,6 @@ def _symmetric_base(seed: int) -> np.ndarray:
     draws remains."""
     half = gen_truncated_gaussian(REFERENCE_LENGTH // 2, seed)
     return np.concatenate([half, -half, np.zeros(REFERENCE_LENGTH % 2)])
-
-
-def _in_parts(run, items) -> list:
-    """run(part) over one contiguous part of items per usable CPU, its results joined in item
-    order: the first part on the calling thread, the rest on a pool. A part's exception
-    reaches the caller after the pool has joined. The CPU count is read through the synth
-    module, so one patch of synth._usable_cpus reaches every path that starts a thread."""
-    items = list(items)
-    n = max(1, min(synth._usable_cpus(), len(items)))
-    if n == 1:
-        return run(items)
-    from concurrent.futures import ThreadPoolExecutor  # here: no pool for one part
-    parts = [items[k * len(items) // n : (k + 1) * len(items) // n] for k in range(n)]
-    with ThreadPoolExecutor(n - 1) as pool:
-        futures = [pool.submit(run, part) for part in parts[1:]]
-        return run(parts[0]) + [result for future in futures for result in future.result()]
 
 
 def _asymmetry_rows(seeds) -> list:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .detect import DetectionReport, HocProfile
 from .errors import PersistenceError
-from .synth import TraceMatrix
+from .synth import TraceMatrix, _chunk_rows
 
 __all__ = [
     "export_profile_csv",
@@ -48,8 +48,6 @@ MAGIC = b"HOCDVS01"
 VERSION = 1
 _HEADER = struct.Struct("<8sIIIddB")
 HEADER_SIZE = _HEADER.size
-# payload bytes read_traces reads per chunk (at least one row)
-_READ_CHUNK_BYTES = 1 << 20
 # rows per profile CSV piece, about 100 KB of text
 _CSV_PIECE_ROWS = 4096
 
@@ -112,8 +110,8 @@ def read_traces(path, digest=None) -> TraceMatrix:
     """Read a trace matrix written by write_traces, keeping its float32 payload.
 
     The header is checked against the file size before the payload is
-    allocated, and the payload is read in row chunks of about
-    _READ_CHUNK_BYTES straight into the W x M matrix. A hashlib-like digest
+    allocated, and the payload is read in row chunks of its float32 rows
+    (synth._chunk_rows) straight into the W x M matrix. A hashlib-like digest
     is fed the header, then each chunk as it lands, in file order, so it
     sees every byte of the file.
     """
@@ -126,7 +124,7 @@ def read_traces(path, digest=None) -> TraceMatrix:
             amplitudes = np.empty((num_traces, fiber_points), dtype="<f4")
             feed = (lambda data: None) if digest is None else digest.update
             feed(header)
-            step = max(1, _READ_CHUNK_BYTES // (4 * fiber_points))
+            step = _chunk_rows(4 * fiber_points)
             for start in range(0, num_traces, step):
                 chunk = amplitudes[start : start + step]
                 got = fh.readinto(chunk)

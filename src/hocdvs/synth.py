@@ -26,6 +26,8 @@ the drive and the depth share every column outside the event span as well,
 so the sweep synthesizes a seed's later duties in that span alone. A trace
 matrix also comes in row chunks, equal bit for bit at any chunk size, so
 `hocdvs simulate` can write a file beyond memory.
+Helper threads start as _helper_threads allows, and parts of work run through _in_parts;
+every pass over a payload takes row chunks of _CHUNK_BYTES (_chunk_rows).
 One amplitude rule holds everywhere: a trace matrix is float32, as a trace
 file is. Synthesis computes in float64 and casts each chunk once, so a
 matrix in memory is bit for bit the matrix that `simulate` writes.
@@ -64,8 +66,8 @@ __all__ = [
 TRUNCATION_LIMIT = 3.46
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
-# bytes per row block of the range check (at least one row)
-_RANGE_BLOCK_BYTES = 1 << 20
+# bytes per row chunk of simulate's synthesis, read_traces' read and the range check
+_CHUNK_BYTES = 1 << 20
 # Bytes worth a thread: simulate's draw-ahead thread, analyze's digest thread and _blockwise's
 # helpers start only for this much float32 or more (the trace-scale matrix is 600 KB); below,
 # a thread costs more
@@ -85,6 +87,26 @@ def _helper_threads(payload_bytes: int, parts: int) -> int:
     return min(_usable_cpus(), parts) - 1 if payload_bytes >= _THREAD_MIN_BYTES else 0
 
 
+def _in_parts(run, items) -> list:
+    """run(part) over one contiguous part of items per usable CPU (seeds, or _blockwise's
+    parts), its results joined in item order: the first part on the calling thread, the rest
+    on a pool. A part's exception reaches the caller after the pool has joined."""
+    items = list(items)
+    n = max(1, min(_usable_cpus(), len(items)))
+    if n == 1:
+        return run(items)
+    from concurrent.futures import ThreadPoolExecutor  # here: no pool for one part
+    parts = [items[k * len(items) // n : (k + 1) * len(items) // n] for k in range(n)]
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(run, part) for part in parts[1:]]
+        return run(parts[0]) + [result for future in futures for result in future.result()]
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk of a pass over rows of row_bytes: _CHUNK_BYTES' worth, at least one."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _finite_positive(value: float) -> bool:
     """Whether value is a finite real scalar > 0 (no 0-d array, which no memo can key)."""
     return isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
@@ -92,10 +114,10 @@ def _finite_positive(value: float) -> bool:
 
 def _in_float32_range(arr: np.ndarray) -> bool:
     """Whether arr (one non-empty row or more) fits the float32 range of trace files; NaN
-    fails both comparisons. It takes min, then max, of each row block of about
-    _RANGE_BLOCK_BYTES, so max reads a block while it is still in cache; the verdict
-    is that of the whole array."""
-    step = max(1, _RANGE_BLOCK_BYTES // arr[:1].nbytes)
+    fails both comparisons. It takes min, then max, of each block of _chunk_rows rows,
+    so max reads a block while it is still in cache; the verdict is that of the whole
+    array."""
+    step = _chunk_rows(arr[:1].nbytes)
     return all(-_FLOAT32_MAX <= block.min() and block.max() <= _FLOAT32_MAX
                for block in (arr[start : start + step] for start in range(0, len(arr), step)))
 

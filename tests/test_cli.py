@@ -91,7 +91,7 @@ class TestSimulate:
     @pytest.mark.parametrize("duty", DUTY_CYCLES)
     def test_streamed_file_equals_written_matrix(self, tmp_path, config_file, duty):
         # 1500 points stream in chunks of 87 traces, so the last of 100 holds 13
-        assert 100 % (cli._CHUNK_BYTES // (8 * 1500)) != 0
+        assert 100 % synth._chunk_rows(8 * 1500) != 0
         out, ref = tmp_path / "run.hocdvs", tmp_path / "ref.hocdvs"
         code = main(["simulate", "--config", str(config_file(duty, 7)), "--out", str(out)])
         assert code == EXIT_OK
@@ -528,7 +528,7 @@ class TestAnalyzeLargePayload:
         cfg = config_file(seed=11, num_traces=400, fiber_points=2100, vibration_point=1300)
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         payload = out.stat().st_size - HEADER_SIZE
-        assert payload > 3 * io_formats._READ_CHUNK_BYTES
+        assert payload > 3 * synth._CHUNK_BYTES
         assert 2100 > 4 * detect.BLOCK_POINTS
         assert payload // 2 >= synth._THREAD_MIN_BYTES  # window 200 reduces half the rows
         return out
@@ -946,27 +946,37 @@ def _imported_modules(node) -> list[str]:
     return []
 
 
+def _scoped(node, scope=()):
+    """(each node below node, the names of the classes and functions that hold it)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scoped(child, scope + (child.name,) if named else scope)
+
+
 def test_every_helper_thread_runs_on_a_pool_imported_where_it_is_needed():
     """Work beside the calling thread has one mechanism: a concurrent.futures pool, imported
-    in the function that starts it, so importing hocdvs loads none. No module imports queue,
+    in the function that starts it, so importing hocdvs loads none. Only the parts driver and
+    the two one-worker pools (draw-ahead and digest) import it. No module imports queue,
     makes a threading.Thread or imports concurrent.futures at module level."""
+    importers = set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), path.name)
-        in_functions = {id(node) for func in ast.walk(tree)
-                        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        for node in ast.walk(func)}
-        for node in ast.walk(tree):
+        for node, scope in _scoped(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             roots = {name.partition(".")[0] for name in _imported_modules(node)}
             assert "queue" not in roots, f"{where} imports queue"
-            assert "concurrent" not in roots or id(node) in in_functions, (
+            assert "concurrent" not in roots or scope, (
                 f"{where} imports concurrent.futures at module level")
+            if "concurrent" in roots:
+                importers.add(".".join((path.stem,) + scope))
             assert not (isinstance(node, ast.Attribute) and node.attr == "Thread"
                         and isinstance(node.value, ast.Name) and node.value.id == "threading"), (
                 f"{where} makes a threading.Thread")
             assert not (isinstance(node, ast.ImportFrom) and node.module == "threading"
                         and "Thread" in [alias.name for alias in node.names]), (
                 f"{where} imports threading.Thread")
+    assert importers == {"synth._in_parts", "synth._drawn_ahead", "cli._TraceDigest.update"}
 
 
 def _error_classes(cls):

@@ -26,7 +26,7 @@ from hocdvs.detect import METHOD_MOVING_DIFFERENTIAL
 from hocdvs.errors import ConfigError, PersistenceError
 from hocdvs.cli import main
 from hocdvs.experiments import run_preset, trace_config
-from hocdvs import io_formats
+from hocdvs import io_formats, synth
 from hocdvs.io_formats import HEADER_SIZE, MAGIC, write_trace_rows
 from hocdvs.synth import format_sim_config
 
@@ -215,17 +215,55 @@ class TestTraceFile:
                                                    (279, [9, 1]), (280, [10])])
     def test_payload_is_read_and_fed_in_row_chunks(self, tmp_path, monkeypatch, chunk_bytes,
                                                    rows):
-        """Each chunk holds _READ_CHUNK_BYTES // row bytes rows (at least one) and
+        """Each chunk holds synth._CHUNK_BYTES // row bytes rows (at least one) and
         reaches the digest as it lands, in file order, after the header."""
         path = tmp_path / "t.hocdvs"
         amps = np.arange(70, dtype=np.float32).reshape(10, 7) - 30.5
         write_traces(path, small_matrix(amps))
-        monkeypatch.setattr(io_formats, "_READ_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk_bytes)
         fed = []
         out = read_traces(path, digest=mock.Mock(update=lambda data: fed.append(bytes(data))))
         assert [len(data) // 28 for data in fed[1:]] == rows
         assert b"".join(fed) == path.read_bytes()
         np.testing.assert_array_equal(out.amplitudes, amps)
+
+    @pytest.mark.parametrize("chunk_bytes, written, read", [(84, [1] * 10, [3, 3, 3, 1]),
+                                                             (279, [4, 4, 2], [9, 1]),
+                                                             (280, [5, 5], [10])])
+    def test_one_chunk_size_sets_the_rows_of_every_pass(self, tmp_path, monkeypatch,
+                                                        chunk_bytes, written, read):
+        """One patch of synth._CHUNK_BYTES sets the rows of each chunk simulate synthesizes
+        and writes (float64 rows, 56 bytes at 7 points), of each chunk read_traces feeds the
+        digest (float32 rows, 28 bytes) and of each block the range check takes of either."""
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk_bytes)
+        chunks, checks = [], []
+
+        class Blocks(np.ndarray):
+            def min(self, *args, **kwargs):
+                checks[-1].append(len(self))
+                return super().min(*args, **kwargs)
+
+        def in_float32_range(arr):
+            checks.append([])
+            return real_check(arr.view(Blocks))
+
+        def write_trace_rows(path, shape, mpp, rate, rows):
+            rows = list(rows)
+            chunks.extend(map(len, rows))
+            real_write(path, shape, mpp, rate, rows)
+
+        real_check, real_write = synth._in_float32_range, io_formats.write_trace_rows
+        monkeypatch.setattr(synth, "_in_float32_range", in_float32_range)
+        monkeypatch.setattr(io_formats, "write_trace_rows", write_trace_rows)
+        cfg, path = tmp_path / "run.cfg", tmp_path / "run.hocdvs"
+        cfg.write_text(format_sim_config(trace_config(0.2, 0, fiber_points=7, vibration_point=3,
+                                                      num_traces=10)))
+        assert main(["simulate", "--config", str(cfg), "--out", str(path)]) == 0
+        fed = []
+        read_traces(path, digest=mock.Mock(update=lambda data: fed.append(bytes(data))))
+        assert chunks == written
+        assert [len(data) // 28 for data in fed[1:]] == read
+        assert checks == [[rows] for rows in written] + [read]
 
     @pytest.mark.parametrize("cut", [1, 28, 29, 200])
     def test_payload_that_shrinks_during_the_read_is_io_error(self, tmp_path, monkeypatch, cut):
@@ -235,7 +273,7 @@ class TestTraceFile:
         write_traces(path, small_matrix(np.ones((10, 7))))
         full = path.stat().st_size
         path.write_bytes(path.read_bytes()[:-cut])
-        monkeypatch.setattr(io_formats, "_READ_CHUNK_BYTES", 84)
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", 84)
         monkeypatch.setattr(io_formats.os, "fstat", lambda fd: mock.Mock(st_size=full))
         with pytest.raises(PersistenceError, match=f"payload is {280 - cut} bytes, header "
                                                    "promises 280"):

@@ -564,7 +564,7 @@ def _blocked_matrix(dtype, row, value):
     """Seven rows, two per range-check block, so four blocks. value sits in the given
     row (0 the first, 2 and 3 the first and last of a middle block, 6 the last), in
     column 0 of the first row, the last column of the last row, in between for others."""
-    cols = synth._RANGE_BLOCK_BYTES // (2 * np.dtype(dtype).itemsize)
+    cols = synth._CHUNK_BYTES // (2 * np.dtype(dtype).itemsize)
     matrix = np.ones((7, cols), dtype)
     matrix[row, row * (cols - 1) // 6] = value
     return matrix
